@@ -56,7 +56,6 @@ fn dense_panel(name: &str, data: &srda_data::DenseDataset, l: usize, splits: usi
             alpha,
             solver: SrdaSolver::NormalEquations,
             memory_budget_bytes: None,
-            parallel_responses: false,
             ..SrdaConfig::default()
         };
         let vals: Vec<f64> = (0..splits)
@@ -105,7 +104,6 @@ fn sparse_panel(name: &str, data: &srda_data::SparseDataset, frac: f64, splits: 
                 tol: 0.0,
             },
             memory_budget_bytes: None,
-            parallel_responses: false,
             ..SrdaConfig::default()
         };
         let vals: Vec<f64> = (0..splits)

@@ -1,14 +1,16 @@
 //! Fit-level checkpoint: resume an interrupted multi-response SRDA fit.
 //!
 //! The solver-level [`LsqrCheckpoint`] captures one response solve; an
-//! SRDA fit is `c − 1` of them in sequence. A [`FitCheckpoint`] records
-//! the fully-solved response columns (weights, iteration counts, stop
-//! reasons, accumulated warnings) plus the in-flight solver state of the
-//! response that was interrupted mid-solve, so `Srda` can resume and
-//! produce a **bitwise-identical** model to the uninterrupted run.
+//! SRDA fit solves its `c − 1` responses in panels, each panel in lockstep
+//! (see `srda::lsqr_panels`). A [`FitCheckpoint`] records the response
+//! columns of every finished panel (weights, iteration counts, stop
+//! reasons, accumulated warnings) plus the state of each column of the
+//! panel that was interrupted — finished, or its in-flight solver state —
+//! so `Srda` can resume and produce a **bitwise-identical** model to the
+//! uninterrupted run.
 //!
 //! The file is a [`srda_sparse::frame`] record, like `srda-solvers`'
-//! checkpoint: a magic header (`SRDAFCK1`), a little-endian payload, and
+//! checkpoint: a magic header (`SRDAFCK2`), a little-endian payload, and
 //! a CRC-32 trailer, written via atomic rename so a crash mid-write never
 //! leaves a torn checkpoint behind. The fingerprint binds the state to the exact
 //! problem — data shape, response count, `α`, iteration cap, tolerance,
@@ -17,12 +19,18 @@
 
 use srda_solvers::checkpoint::{CheckpointError, LsqrCheckpoint};
 use srda_solvers::StopReason;
+pub use srda_solvers::{CompletedResponse, PanelColumn};
 use srda_sparse::crc32::crc32;
 use srda_sparse::frame::{self, Reader, Writer};
 use std::path::Path;
 
-/// Magic bytes opening every fit-checkpoint file (version 1).
-pub const FIT_CHECKPOINT_MAGIC: &[u8; 8] = b"SRDAFCK1";
+/// Magic bytes opening every fit-checkpoint file (version 2, the panel
+/// layout).
+pub const FIT_CHECKPOINT_MAGIC: &[u8; 8] = b"SRDAFCK2";
+
+/// Magic bytes of the version-1 layout (one in-flight response), which
+/// this build no longer reads.
+const FIT_CHECKPOINT_MAGIC_V1: &[u8; 8] = b"SRDAFCK1";
 
 /// File name a fit writes inside its configured checkpoint directory.
 pub const FIT_CHECKPOINT_FILE: &str = "srda-fit.ckpt";
@@ -118,34 +126,25 @@ impl FitFingerprint {
     }
 }
 
-/// One response column that was fully solved before the interrupt.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CompletedResponse {
-    /// The solved augmented weight column (length `n + 1`).
-    pub x: Vec<f64>,
-    /// Iterations the solve consumed.
-    pub iterations: usize,
-    /// Why it stopped (never `Interrupted` — those go in `in_flight`).
-    pub stop: StopReason,
-}
-
 /// The resumable state of an interrupted SRDA fit.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FitCheckpoint {
     /// Which fit this state belongs to.
     pub fingerprint: FitFingerprint,
-    /// Fully-solved response columns, in order (responses `0..len`).
+    /// The response columns of every finished panel, in order (responses
+    /// `0..len`); `len` is always a panel boundary.
     pub completed: Vec<CompletedResponse>,
-    /// Mid-solve state of response `completed.len()`, when the interrupt
-    /// landed inside a solve rather than between two.
-    pub in_flight: Option<LsqrCheckpoint>,
+    /// One entry per column of the panel that starts at response
+    /// `completed.len()`, when the interrupt landed inside it; empty when
+    /// it landed before the panel started.
+    pub panel: Vec<PanelColumn>,
     /// Warnings accumulated before the interrupt, so the resumed fit's
     /// report matches the uninterrupted run's exactly.
     pub warnings: Vec<String>,
 }
 
 // ---------------------------------------------------------------------------
-// binary encoding: a `srda_sparse::frame` record tagged SRDAFCK1
+// binary encoding: a `srda_sparse::frame` record tagged SRDAFCK2
 // ---------------------------------------------------------------------------
 
 fn stop_code(stop: StopReason) -> u8 {
@@ -155,8 +154,8 @@ fn stop_code(stop: StopReason) -> u8 {
         StopReason::MaxIterations => 2,
         StopReason::Diverged => 3,
         StopReason::Stagnated => 4,
-        // interrupted responses are not "completed"; their state lives in
-        // `in_flight`. Encoding one would be a bug upstream.
+        // interrupted responses are not "completed"; their state is a
+        // running panel column. Encoding one would be a bug upstream.
         StopReason::Interrupted(_) => {
             unreachable!("interrupted responses must not be recorded as completed")
         }
@@ -178,8 +177,28 @@ fn decode_stop(code: u8) -> Result<StopReason, CheckpointError> {
     })
 }
 
+fn write_completed(w: &mut Writer, c: &CompletedResponse) {
+    w.f64s(&c.x);
+    w.u64(c.iterations as u64);
+    w.u8(stop_code(c.stop));
+    w.f64(c.residual_norm);
+}
+
+fn read_completed(r: &mut Reader) -> Result<CompletedResponse, CheckpointError> {
+    Ok(CompletedResponse {
+        x: r.f64s()?,
+        iterations: r.usize()?,
+        stop: decode_stop(r.u8()?)?,
+        residual_norm: r.f64()?,
+    })
+}
+
 impl FitCheckpoint {
-    /// Serialize to the sealed `SRDAFCK1` byte format.
+    /// Serialize to the sealed `SRDAFCK2` byte format: the fingerprint,
+    /// the completed columns, then the interrupted panel's columns, each
+    /// tagged 0 (finished: `x`, iterations, stop code, residual) or 1
+    /// (running: a
+    /// nested `SRDACKP1` LSQR checkpoint), then the warnings.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = Writer::new(FIT_CHECKPOINT_MAGIC);
         let fp = &self.fingerprint;
@@ -192,16 +211,20 @@ impl FitCheckpoint {
         w.u32(fp.labels_crc);
         w.u64(self.completed.len() as u64);
         for c in &self.completed {
-            w.f64s(&c.x);
-            w.u64(c.iterations as u64);
-            w.u8(stop_code(c.stop));
+            write_completed(&mut w, c);
         }
-        match &self.in_flight {
-            Some(ckpt) => {
-                w.u8(1);
-                w.bytes(&ckpt.to_bytes());
+        w.u64(self.panel.len() as u64);
+        for col in &self.panel {
+            match col {
+                PanelColumn::Done(c) => {
+                    w.u8(0);
+                    write_completed(&mut w, c);
+                }
+                PanelColumn::Running(ckpt) => {
+                    w.u8(1);
+                    w.bytes(&ckpt.to_bytes());
+                }
             }
-            None => w.u8(0),
         }
         w.u64(self.warnings.len() as u64);
         for warning in &self.warnings {
@@ -210,8 +233,18 @@ impl FitCheckpoint {
         w.finish()
     }
 
-    /// Parse and CRC-verify the sealed byte format.
+    /// Parse and CRC-verify the sealed byte format. A version-1
+    /// (`SRDAFCK1`) checkpoint is refused with
+    /// [`CheckpointError::Mismatch`]: its single in-flight response does
+    /// not describe a lockstep panel.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CheckpointError> {
+        if bytes.starts_with(FIT_CHECKPOINT_MAGIC_V1) {
+            return Err(CheckpointError::Mismatch(
+                "SRDAFCK1 checkpoint from an earlier version: fits now resume \
+                 from SRDAFCK2 panel checkpoints; rerun the fit"
+                    .into(),
+            ));
+        }
         let mut r = Reader::open(bytes, FIT_CHECKPOINT_MAGIC)?;
         let fingerprint = FitFingerprint {
             nrows: r.u64()?,
@@ -222,29 +255,26 @@ impl FitCheckpoint {
             tol_bits: r.u64()?,
             labels_crc: r.u32()?,
         };
-        // every completed response takes at least 17 bytes, so a count the
-        // record cannot hold fails on its first missing entry
+        // every entry takes at least 17 bytes, so a count the record
+        // cannot hold fails on its first missing entry
         let n_completed = r.usize()?;
         let mut completed = Vec::with_capacity(n_completed.min(1024));
         for _ in 0..n_completed {
-            let x = r.f64s()?;
-            let iterations = r.usize()?;
-            let stop = decode_stop(r.u8()?)?;
-            completed.push(CompletedResponse {
-                x,
-                iterations,
-                stop,
+            completed.push(read_completed(&mut r)?);
+        }
+        let n_panel = r.usize()?;
+        let mut panel = Vec::with_capacity(n_panel.min(1024));
+        for _ in 0..n_panel {
+            panel.push(match r.u8()? {
+                0 => PanelColumn::Done(read_completed(&mut r)?),
+                1 => PanelColumn::Running(LsqrCheckpoint::from_bytes(r.bytes()?)?),
+                other => {
+                    return Err(CheckpointError::Corrupt(format!(
+                        "bad panel column marker {other}"
+                    )))
+                }
             });
         }
-        let in_flight = match r.u8()? {
-            0 => None,
-            1 => Some(LsqrCheckpoint::from_bytes(r.bytes()?)?),
-            other => {
-                return Err(CheckpointError::Corrupt(format!(
-                    "bad in-flight marker {other}"
-                )))
-            }
-        };
         let n_warn = r.usize()?;
         let mut warnings = Vec::with_capacity(n_warn.min(1024));
         for _ in 0..n_warn {
@@ -254,7 +284,7 @@ impl FitCheckpoint {
         Ok(FitCheckpoint {
             fingerprint,
             completed,
-            in_flight,
+            panel,
             warnings,
         })
     }
@@ -288,8 +318,9 @@ mod tests {
                 x: vec![1.0, -0.0, 3.5e-12, f64::MAX, 2.0, -7.0],
                 iterations: 17,
                 stop: StopReason::Converged,
+                residual_norm: 0.125,
             }],
-            in_flight: Some(LsqrCheckpoint {
+            panel: vec![PanelColumn::Running(LsqrCheckpoint {
                 fingerprint: solver_fp,
                 iteration: 9,
                 x: vec![0.25; 6],
@@ -304,7 +335,7 @@ mod tests {
                 best_res: 0.01,
                 no_improve: 2,
                 residual_trace: vec![1.0, 0.5, 0.1],
-            }),
+            })],
             warnings: vec!["response 0: LSQR stagnated after 17 iterations".into()],
         }
     }
@@ -323,7 +354,7 @@ mod tests {
         let c = FitCheckpoint {
             fingerprint: FitFingerprint::new(3, 2, 1, 0.5, 10, 0.0, &[0, 1, 1]),
             completed: vec![],
-            in_flight: None,
+            panel: vec![],
             warnings: vec![],
         };
         assert_eq!(FitCheckpoint::from_bytes(&c.to_bytes()).unwrap(), c);

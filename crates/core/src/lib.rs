@@ -65,7 +65,9 @@ pub mod rlda;
 pub mod spectral_regression;
 pub mod srda;
 
-pub use checkpoint::{CompletedResponse, FitCheckpoint, FitFingerprint, FIT_CHECKPOINT_FILE};
+pub use checkpoint::{
+    CompletedResponse, FitCheckpoint, FitFingerprint, PanelColumn, FIT_CHECKPOINT_FILE,
+};
 pub use error::SrdaError;
 pub use graph::{AffinityGraph, EdgeWeight};
 pub use idr_qr::{IdrQr, IdrQrConfig};

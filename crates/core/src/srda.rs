@@ -17,23 +17,30 @@
 //!   right-hand sides. Always faster than LDA (paper Table I, max ×9).
 //! * [`SrdaSolver::Lsqr`] — matrix-free damped LSQR; `O(k·c·ms)` time and
 //!   `O(ms)` memory on sparse data. This is the *linear time* of the title.
+//!   Through an operator whose block products are native (a
+//!   [`srda_sparse::DiskCsr`]), the responses run in lockstep panels
+//!   (`panel_width`), so each LSQR iteration passes over the data once per
+//!   panel, not once per response.
 
-use crate::checkpoint::{CompletedResponse, FitCheckpoint, FitFingerprint, FIT_CHECKPOINT_FILE};
+use crate::checkpoint::{
+    CompletedResponse, FitCheckpoint, FitFingerprint, PanelColumn, FIT_CHECKPOINT_FILE,
+};
 use crate::labels::ClassIndex;
 use crate::model::Embedding;
 use crate::report::{FitReport, RecoveryAction, ResponseSolver};
 use crate::responses;
 use crate::{Result, SrdaError};
 use srda_linalg::{flam, ExecPolicy, Executor, LinalgError, Mat};
-use srda_obs::{Recorder, SolverTrace};
-use srda_solvers::checkpoint::{CheckpointError, LsqrCheckpoint};
-use srda_solvers::lsqr::{lsqr_controlled, LsqrConfig, LsqrResult, SolveControls};
+use srda_obs::{Counter, Recorder, SolverTrace};
+use srda_solvers::checkpoint::{CheckpointError, ProblemFingerprint};
+use srda_solvers::lsqr::{lsqr_panel, LsqrConfig, PanelControls};
 use srda_solvers::robust::{factor_ladder_governed, RobustConfig, RobustOutcome, RobustRidge};
 use srda_solvers::{
-    certify_operator, certify_spd_solves, AugmentedOp, ExecCsr, ExecDense, Interrupt,
-    LinearOperator, RunGovernor, StopReason,
+    certify_operator, certify_operator_block, certify_spd_solves, AugmentedOp, ExecCsr, ExecDense,
+    Interrupt, LinearOperator, RunGovernor, SolveCertificate, StopReason,
 };
 use srda_sparse::CsrMatrix;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 /// How SRDA's `c − 1` ridge problems are solved.
@@ -67,11 +74,10 @@ pub struct SrdaConfig {
     /// allocating — the guard that reproduces the paper's out-of-memory
     /// dashes in Tables IX/X.
     pub memory_budget_bytes: Option<usize>,
-    /// Solve the `c − 1` LSQR response problems on separate threads. The
-    /// problems are independent, so this is a pure wall-clock win on
-    /// multi-core machines; it is **off by default** because the paper's
-    /// timing comparisons (and ours in `repro_*`) are single-threaded.
-    /// Only affects the [`SrdaSolver::Lsqr`] paths.
+    /// Ignored. The LSQR responses are solved in lockstep panels, one
+    /// block product pair per iteration for the whole panel, which
+    /// replaced the thread-per-response solve this field used to select.
+    #[deprecated(note = "ignored: LSQR responses are solved in lockstep panels")]
     pub parallel_responses: bool,
     /// Execution backend for the hot kernels inside a fit (Gram builds,
     /// matrix products, operator applications). Defaults to
@@ -118,6 +124,7 @@ pub struct CheckpointPolicy {
 }
 
 impl Default for SrdaConfig {
+    #[allow(deprecated)]
     fn default() -> Self {
         SrdaConfig {
             alpha: 1.0,
@@ -176,7 +183,10 @@ pub struct InterruptedFit {
     pub reason: Interrupt,
     /// The ledger up to the interrupt (`report.interrupt` is set).
     pub report: FitReport,
-    /// Response columns fully solved before the interrupt.
+    /// Response columns solved before the interrupt that a resume keeps:
+    /// every column before the interrupted panel, plus the panel's
+    /// finished columns when the state of its running ones was captured
+    /// (a governor interrupt, or periodic checkpoints).
     pub responses_completed: usize,
     /// Total response columns the fit needed (`c − 1`).
     pub total_responses: usize,
@@ -516,7 +526,6 @@ impl Srda {
                     self.config.alpha,
                     500,
                     1e-10,
-                    self.config.parallel_responses,
                     &ctl,
                 )? {
                     ResponsesOutcome::Done {
@@ -575,7 +584,7 @@ impl Srda {
     /// Only the LSQR solver works matrix-free, so this returns an error
     /// for [`SrdaSolver::NormalEquations`]. The operator is wrapped with
     /// the §III.B bias column automatically (pass the *raw* data operator).
-    pub fn fit_operator<A: LinearOperator + ?Sized + Sync>(
+    pub fn fit_operator<A: LinearOperator + ?Sized>(
         &self,
         x: &A,
         y: &[usize],
@@ -586,7 +595,7 @@ impl Srda {
     /// [`Srda::fit_operator`], returning a [`FitOutcome`] so an
     /// interrupted run hands back its partial state (and checkpoint
     /// path) instead of an error.
-    pub fn fit_operator_outcome<A: LinearOperator + ?Sized + Sync>(
+    pub fn fit_operator_outcome<A: LinearOperator + ?Sized>(
         &self,
         x: &A,
         y: &[usize],
@@ -594,7 +603,7 @@ impl Srda {
         self.instrumented_fit(|| self.fit_operator_outcome_inner(x, y))
     }
 
-    fn fit_operator_outcome_inner<A: LinearOperator + ?Sized + Sync>(
+    fn fit_operator_outcome_inner<A: LinearOperator + ?Sized>(
         &self,
         x: &A,
         y: &[usize],
@@ -708,7 +717,17 @@ impl Srda {
                     checkpoint: None,
                 });
             }
-            record_lsqr_response(&mut report, j, &r, tol, &op, &ybar.col(j), cfg.damp)?;
+            ensure_converging(r.stop)?;
+            let cert = certify_operator(&op, &ybar.col(j), &r.x, cfg.damp);
+            record_lsqr_response(
+                &mut report,
+                j,
+                r.iterations,
+                r.stop,
+                r.residual_norm,
+                tol,
+                cert,
+            );
             total_iters += r.iterations;
             w_aug.set_col(j, &r.x);
         }
@@ -776,7 +795,7 @@ impl Srda {
     /// The governed, checkpointable LSQR response loop shared by every
     /// `fit_*` path that runs the configured LSQR solver.
     #[allow(clippy::too_many_arguments)]
-    fn fit_lsqr_outcome<A: LinearOperator + ?Sized + Sync>(
+    fn fit_lsqr_outcome<A: LinearOperator + ?Sized>(
         &self,
         op: &A,
         ybar: &Mat,
@@ -808,14 +827,7 @@ impl Srda {
                 let ckpt = FitCheckpoint::read(path)?;
                 ckpt.fingerprint
                     .ensure_matches(fingerprint.as_ref().expect("fingerprint exists on resume"))?;
-                if ckpt.completed.len() > k
-                    || (ckpt.completed.len() == k && ckpt.in_flight.is_some())
-                    || ckpt.completed.iter().any(|c| c.x.len() != op.ncols())
-                {
-                    return Err(SrdaError::Checkpoint(CheckpointError::Corrupt(
-                        "checkpoint contents inconsistent with its fingerprint".into(),
-                    )));
-                }
+                check_resume_layout(&ckpt, op, ybar, max_iter, tol, self.config.alpha)?;
                 Some(ckpt)
             }
             None => None,
@@ -840,15 +852,7 @@ impl Srda {
             recorder: self.config.recorder,
             backend: self.executor().backend_name(),
         };
-        match solve_lsqr_responses_controlled(
-            op,
-            ybar,
-            self.config.alpha,
-            max_iter,
-            tol,
-            self.config.parallel_responses,
-            &ctl,
-        )? {
+        match solve_lsqr_responses_controlled(op, ybar, self.config.alpha, max_iter, tol, &ctl)? {
             ResponsesOutcome::Done {
                 w,
                 iterations,
@@ -912,9 +916,12 @@ impl Srda {
                 rec.gauge("fit.certificates.suspect", suspect as f64);
             }
         }
-        // split [W; bᵀ] into the weight matrix and the intercept row
-        let weights = w_aug.block(0, n, 0, w_aug.ncols());
-        let bias = w_aug.row(n).to_vec();
+        // split [W; bᵀ] into the weight matrix and the intercept row; the
+        // weights keep the buffer, so W is never copied
+        let k = w_aug.ncols();
+        let mut weights = w_aug.into_vec();
+        let bias = weights.split_off(n * k);
+        let weights = Mat::from_vec(n, k, weights).expect("split shapes always consistent");
         SrdaModel {
             embedding: Embedding::new(weights, bias).expect("split shapes always consistent"),
             n_classes,
@@ -925,48 +932,50 @@ impl Srda {
     }
 }
 
-/// Fold one LSQR response outcome into the fit report. A diverged solve
-/// means the weight column is garbage (LSQR resets it to zero), so the
-/// whole fit fails loudly instead of returning a silently broken model —
-/// this is how a poisoned right-hand side or a failing disk operator
-/// surfaces to the caller.
+/// Fail the fit when an LSQR response diverged: its weight column is
+/// garbage (LSQR resets it to zero), so the fit fails loudly instead of
+/// returning a silently broken model — this is how a poisoned right-hand
+/// side or a failing disk operator surfaces to the caller.
+fn ensure_converging(stop: StopReason) -> Result<()> {
+    if stop == StopReason::Diverged {
+        return Err(SrdaError::Linalg(LinalgError::NonFinite {
+            context: "LSQR response solve (diverged: non-finite input or operator output)",
+        }));
+    }
+    Ok(())
+}
+
+/// Fold one finished LSQR response and its certificate into the fit
+/// report (call [`ensure_converging`] first).
 ///
-/// Every recorded response also gets a post-hoc `SolveCertificate`
-/// (see `srda_solvers::certify_operator`): a pure function of the final
+/// Every recorded response gets a post-hoc `SolveCertificate` (see
+/// `srda_solvers::certify_operator`): a pure function of the final
 /// iterate, so serial/threaded and fresh/resumed runs record bitwise-equal
 /// certificates. A Suspect verdict only warns when a tolerance was
 /// requested — a fixed-iteration run (`tol = 0`, the paper's sparse
 /// configuration) is *expected* to stop wherever its budget ends, and the
 /// certificate already records how far that was.
-fn record_lsqr_response<A: LinearOperator + ?Sized>(
+fn record_lsqr_response(
     report: &mut FitReport,
     j: usize,
-    r: &srda_solvers::lsqr::LsqrResult,
+    iterations: usize,
+    stop: StopReason,
+    residual_norm: f64,
     tol: f64,
-    op: &A,
-    col: &[f64],
-    damp: f64,
-) -> Result<()> {
-    match r.stop {
-        StopReason::Diverged => {
-            return Err(SrdaError::Linalg(LinalgError::NonFinite {
-                context: "LSQR response solve (diverged: non-finite input or operator output)",
-            }));
-        }
+    cert: SolveCertificate,
+) {
+    match stop {
         StopReason::Stagnated => report.warnings.push(format!(
-            "response {j}: LSQR stagnated after {} iterations (residual {:.3e})",
-            r.iterations, r.residual_norm
+            "response {j}: LSQR stagnated after {iterations} iterations (residual {residual_norm:.3e})"
         )),
         StopReason::MaxIterations if tol > 0.0 => report.warnings.push(format!(
-            "response {j}: LSQR hit the iteration cap ({}) before reaching tol",
-            r.iterations
+            "response {j}: LSQR hit the iteration cap ({iterations}) before reaching tol"
         )),
         StopReason::Interrupted(_) => {
             unreachable!("interrupted responses are handled before recording")
         }
         _ => {}
     }
-    let cert = certify_operator(op, col, &r.x, damp);
     if cert.is_suspect() && tol > 0.0 {
         report.warnings.push(format!(
             "response {j}: LSQR solution failed certification \
@@ -975,30 +984,178 @@ fn record_lsqr_response<A: LinearOperator + ?Sized>(
         ));
     }
     report.certificates.push(cert);
-    report.responses.push(ResponseSolver::Lsqr {
-        iterations: r.iterations,
-        stop: r.stop,
-    });
+    report
+        .responses
+        .push(ResponseSolver::Lsqr { iterations, stop });
+}
+
+/// The widest lockstep panel a fit of `k` responses solves through the
+/// (augmented, `m × (n+1)`) operator `op`. A panel shares its passes over
+/// the data only when the block products are native
+/// ([`LinearOperator::shares_block_passes`]); through any other operator
+/// every panel is one response. Otherwise it is the largest `p ≥ 1` whose
+/// lockstep state — `w`, `v` and `Aᵀu` at `(n+1) × p` each, plus `u` and
+/// `A·v` at `m × p` — fits in the `(n+1) × k` weight matrix the fit
+/// allocates anyway: `(3(n+1) + 2m)·p ≤ (n+1)·k`. That bounds `p` by
+/// `k/3`, so for `k ≤ 5` every panel is one response, exactly the
+/// one-at-a-time solve.
+fn panel_width<A: LinearOperator + ?Sized>(op: &A, k: usize) -> usize {
+    if !op.shares_block_passes() {
+        return 1;
+    }
+    // in u128, so no data shape can overflow the products
+    let (cols, m) = (op.ncols() as u128, op.nrows() as u128);
+    let p = cols * k as u128 / (3 * cols + 2 * m).max(1);
+    usize::try_from(p).map_or(1, |p| p.max(1))
+}
+
+/// The columns `cols` as `⌈len/p_max⌉` contiguous panels of near-equal
+/// width (wider ones first).
+fn lsqr_panels(cols: Range<usize>, p_max: usize) -> Vec<Range<usize>> {
+    let k = cols.len();
+    let count = k.div_ceil(p_max);
+    let mut start = cols.start;
+    (0..count)
+        .map(|i| {
+            let width = k / count + usize::from(i < k % count);
+            start += width;
+            start - width..start
+        })
+        .collect()
+}
+
+/// Check that a fingerprint-verified checkpoint describes a state this
+/// fit can resume: the completed columns and the interrupted panel's
+/// entries fit in the `k` responses, every iterate has the operator's
+/// width, and the running columns share one iteration and belong to their
+/// own right-hand sides. The panel layout is not checked: each column's
+/// trajectory is its own, so a fit resumes from any layout, including one
+/// written through an operator with another panel width.
+fn check_resume_layout<A: LinearOperator + ?Sized>(
+    ckpt: &FitCheckpoint,
+    op: &A,
+    ybar: &Mat,
+    max_iter: usize,
+    tol: f64,
+    alpha: f64,
+) -> Result<()> {
+    let corrupt = |what: &str| {
+        Err(SrdaError::Checkpoint(CheckpointError::Corrupt(format!(
+            "checkpoint contents inconsistent with its fingerprint: {what}"
+        ))))
+    };
+    let start = ckpt.completed.len();
+    if start + ckpt.panel.len() > ybar.ncols() {
+        return corrupt("more responses than the fit has");
+    }
+    let mut iteration = None;
+    for (j, col) in (start..).zip(&ckpt.panel) {
+        if let PanelColumn::Running(state) = col {
+            if *iteration.get_or_insert(state.iteration) != state.iteration {
+                return corrupt("running columns stopped at different iterations");
+            }
+            let own = ProblemFingerprint::new(
+                op.nrows(),
+                op.ncols(),
+                alpha.sqrt(),
+                tol,
+                max_iter,
+                &ybar.col(j),
+            );
+            state.fingerprint.ensure_matches(&own)?;
+        }
+    }
+    let widths_ok = ckpt.completed.iter().all(|c| c.x.len() == op.ncols())
+        && ckpt.panel.iter().all(|col| match col {
+            PanelColumn::Done(c) => c.x.len() == op.ncols(),
+            PanelColumn::Running(s) => s.x.len() == op.ncols(),
+        });
+    if !widths_ok {
+        return corrupt("iterate width differs from the data");
+    }
     Ok(())
 }
 
-/// Governance/persistence inputs threaded through the response loop.
+/// Routes a panel's block products through its `apply`/`apply_t` spans
+/// and the `lsqr.operator_passes` counter.
+struct PanelOp<'a, A: ?Sized> {
+    inner: &'a A,
+    recorder: Recorder,
+    panel: usize,
+    passes: &'a Counter,
+}
+
+impl<A: LinearOperator + ?Sized> LinearOperator for PanelOp<'_, A> {
+    fn nrows(&self) -> usize {
+        self.inner.nrows()
+    }
+    fn ncols(&self) -> usize {
+        self.inner.ncols()
+    }
+    fn apply(&self, x: &[f64]) -> Vec<f64> {
+        self.inner.apply(x)
+    }
+    fn apply_t(&self, x: &[f64]) -> Vec<f64> {
+        self.inner.apply_t(x)
+    }
+    fn apply_block_into(&self, x: &[f64], p: usize, y: &mut [f64]) {
+        let _span = srda_obs::span!(self.recorder, "fit/lsqr/panel[{}]/apply", self.panel);
+        self.passes.inc();
+        self.inner.apply_block_into(x, p, y);
+    }
+    fn apply_t_block_into(&self, x: &[f64], p: usize, y: &mut [f64]) {
+        let _span = srda_obs::span!(self.recorder, "fit/lsqr/panel[{}]/apply_t", self.panel);
+        self.passes.inc();
+        self.inner.apply_t_block_into(x, p, y);
+    }
+    fn shares_block_passes(&self) -> bool {
+        self.inner.shares_block_passes()
+    }
+}
+
+/// Columns `cols` of the row-major matrix `a` as a row-major block.
+fn block_of(a: &Mat, cols: Range<usize>) -> Vec<f64> {
+    a.rows_iter()
+        .flat_map(|row| &row[cols.clone()])
+        .copied()
+        .collect()
+}
+
+impl<A: LinearOperator + ?Sized> PanelOp<'_, A> {
+    /// Certify the finished responses `cols` of `w` against their
+    /// right-hand sides in `ybar`: three block products for the whole
+    /// panel, timed by the panel's `certify` span.
+    fn certify(&self, ybar: &Mat, w: &Mat, cols: Range<usize>, damp: f64) -> Vec<SolveCertificate> {
+        let _span = srda_obs::span!(self.recorder, "fit/lsqr/panel[{}]/certify", self.panel);
+        self.passes.add(3);
+        certify_operator_block(
+            self.inner,
+            &block_of(ybar, cols.clone()),
+            &block_of(w, cols.clone()),
+            cols.len(),
+            damp,
+        )
+    }
+}
+
+/// Governance/persistence inputs threaded through the response panels.
 struct ResponseControls<'a> {
     /// Budget/cancellation authority shared by every solve.
     governor: Option<&'a RunGovernor>,
     /// Checkpoint file and refresh period, when persistence is on.
     checkpoint: Option<(&'a Path, usize)>,
-    /// Persisted state to continue from (already fingerprint-verified).
+    /// Persisted state to continue from (already verified by
+    /// [`check_resume_layout`]).
     resume: Option<FitCheckpoint>,
     /// Problem identity; `Some` exactly when `checkpoint` or `resume` is.
     fingerprint: Option<FitFingerprint>,
-    /// Observability sink for per-response spans and solver telemetry.
+    /// Observability sink for panel spans and solver telemetry.
     recorder: Recorder,
     /// Backend name the operator's kernels run on, for trace metadata.
     backend: &'static str,
 }
 
-/// What the response loop produced.
+/// What the response panels produced.
 enum ResponsesOutcome {
     /// All `c − 1` responses solved.
     Done {
@@ -1006,8 +1163,8 @@ enum ResponsesOutcome {
         iterations: usize,
         report: FitReport,
     },
-    /// The governor stopped the loop; `checkpoint` carries the resumable
-    /// state when a fingerprint was available (serial runs only).
+    /// The governor stopped a panel; `checkpoint` carries the resumable
+    /// state when a fingerprint was available.
     Interrupted {
         reason: Interrupt,
         report: FitReport,
@@ -1017,24 +1174,23 @@ enum ResponsesOutcome {
     },
 }
 
-/// Called by LSQR every `checkpoint_every` iterations with its state.
-type CheckpointWriter = Box<dyn Fn(&LsqrCheckpoint) + Sync>;
+/// Called by LSQR every `checkpoint_every` iterations with the panel's
+/// state.
+type CheckpointWriter<'a> = Box<dyn Fn(&[PanelColumn]) + 'a>;
 
-/// Solve the `c − 1` damped least-squares problems with LSQR — one
-/// response at a time, or one thread per response when `parallel` is set
-/// (they are fully independent). A diverged response fails the whole fit
-/// (see [`record_lsqr_response`]); a governor interrupt returns the
-/// partial state instead. Checkpoint emission and resume require the
-/// deterministic serial order, so `parallel` is overridden (with a
-/// warning) when either is requested.
-#[allow(clippy::too_many_arguments)]
-fn solve_lsqr_responses_controlled<A: LinearOperator + ?Sized + Sync>(
+/// Solve the `c − 1` damped least-squares problems with lockstep LSQR,
+/// one panel ([`panel_width`]) after another: each lockstep iteration
+/// makes one block product pair for the whole panel, and every response
+/// keeps the trajectory it would have alone. A diverged response fails
+/// the whole fit (see [`ensure_converging`]); a governor interrupt returns
+/// the partial state instead, with the interrupted panel's per-column
+/// state when a fingerprint is available.
+fn solve_lsqr_responses_controlled<A: LinearOperator + ?Sized>(
     op: &A,
     ybar: &Mat,
     alpha: f64,
     max_iter: usize,
     tol: f64,
-    parallel: bool,
     ctl: &ResponseControls<'_>,
 ) -> Result<ResponsesOutcome> {
     let cfg = LsqrConfig {
@@ -1043,150 +1199,111 @@ fn solve_lsqr_responses_controlled<A: LinearOperator + ?Sized + Sync>(
         tol,
     };
     let k = ybar.ncols();
+    let p_max = panel_width(op, k);
+    // a resumed fit keeps the checkpoint's layout up to its interrupted
+    // panel: the completed columns (only certified here), that panel,
+    // then the rest in fresh panels
+    let (start, carried_len) = ctl
+        .resume
+        .as_ref()
+        .map_or((0, 0), |c| (c.completed.len(), c.panel.len()));
+    let mut panels = lsqr_panels(0..start, p_max);
+    let first = panels.len();
+    if carried_len > 0 {
+        panels.push(start..start + carried_len);
+    }
+    panels.extend(lsqr_panels(start + carried_len..k, p_max));
+    let passes = ctl.recorder.counter("lsqr.operator_passes");
     let mut report = FitReport::default();
     let mut w = Mat::zeros(op.ncols(), k);
     let mut total_iters = 0;
-    let mut start_j = 0;
-    let mut in_flight: Option<LsqrCheckpoint> = None;
-    // replay the persisted prefix: completed columns land in `w` exactly
-    // as solved, their ledger entries and warnings are restored, and the
-    // partially-solved response resumes from its in-flight solver state
+    // the columns of every finished panel, kept for checkpoints
     let mut completed: Vec<CompletedResponse> = Vec::new();
+    let mut carried: Vec<PanelColumn> = Vec::new();
     if let Some(ckpt) = &ctl.resume {
         for (j, c) in ckpt.completed.iter().enumerate() {
             w.set_col(j, &c.x);
             total_iters += c.iterations;
-            // the certificate is a pure function of the persisted iterate,
-            // so recomputing it here reproduces the original run's value
-            // bitwise (any suspect-warning text rides in ckpt.warnings)
-            report
-                .certificates
-                .push(certify_operator(op, &ybar.col(j), &c.x, cfg.damp));
-            report.responses.push(ResponseSolver::Lsqr {
+        }
+        // the certificate is a pure function of the persisted iterate, so
+        // recomputing it reproduces the original run's value bitwise (any
+        // suspect-warning text rides in ckpt.warnings)
+        for (i, cols) in panels[..first].iter().enumerate() {
+            let panel_op = PanelOp {
+                inner: op,
+                recorder: ctl.recorder,
+                panel: i,
+                passes: &passes,
+            };
+            let certs = panel_op.certify(ybar, &w, cols.clone(), cfg.damp);
+            report.certificates.extend(certs);
+        }
+        report
+            .responses
+            .extend(ckpt.completed.iter().map(|c| ResponseSolver::Lsqr {
                 iterations: c.iterations,
                 stop: c.stop,
-            });
-        }
+            }));
         report.warnings = ckpt.warnings.clone();
-        start_j = ckpt.completed.len();
-        in_flight = ckpt.in_flight.clone();
         completed = ckpt.completed.clone();
+        carried = ckpt.panel.clone();
     }
 
-    let persistence = ctl.checkpoint.is_some() || ctl.resume.is_some();
-    let use_parallel = parallel && k > 1 && !persistence;
-    if parallel && k > 1 && persistence {
-        report.warnings.push(
-            "parallel responses disabled: checkpoint/resume requires the \
-             deterministic serial response order"
-                .into(),
-        );
-    }
-
-    if use_parallel {
-        // telemetry channels are opened here, in serial response order, so
-        // the trace list in the recorder snapshot is deterministic no
-        // matter how the worker threads interleave
-        let rec = ctl.recorder;
-        let traces: Vec<Option<SolverTrace>> = (0..k)
+    for (i, cols) in panels.iter().enumerate().skip(first) {
+        let _span = srda_obs::span!(ctl.recorder, "fit/lsqr/panel[{i}]");
+        // columns a resumed panel had already finished stay as they were
+        let mut before: Vec<Option<CompletedResponse>> = vec![None; cols.len()];
+        let mut resume = Vec::new();
+        for (pos, col) in std::mem::take(&mut carried).into_iter().enumerate() {
+            match col {
+                PanelColumn::Done(c) => {
+                    w.set_col(cols.start + pos, &c.x);
+                    before[pos] = Some(c);
+                }
+                PanelColumn::Running(state) => resume.push(state),
+            }
+        }
+        let run: Vec<usize> = cols
+            .clone()
+            .filter(|j| before[j - cols.start].is_none())
+            .collect();
+        let rhs: Vec<Vec<f64>> = run.iter().map(|&j| ybar.col(j)).collect();
+        let rhs: Vec<&[f64]> = rhs.iter().map(Vec::as_slice).collect();
+        let traces: Vec<Option<SolverTrace>> = run
+            .iter()
             .map(|j| {
-                let t = if rec.is_enabled() {
-                    rec.solver_trace(format!("fit/response[{j}]/lsqr"))
-                } else {
-                    None
-                };
+                let t = ctl.recorder.solver_trace(format!("fit/response[{j}]/lsqr"));
                 if let Some(t) = &t {
                     t.set_backend(ctl.backend);
                 }
                 t
             })
             .collect();
-        // worker threads have their own (empty) flam sink stacks; hand
-        // them this thread's sinks so `flam.fit` keeps counting
-        let sinks = flam::current_sinks();
-        let results: Vec<LsqrResult> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..k)
-                .map(|j| {
-                    let cfg = &cfg;
-                    let col = ybar.col(j);
-                    let governor = ctl.governor;
-                    let trace = traces[j].clone();
-                    let sinks = sinks.clone();
-                    s.spawn(move || {
-                        flam::with_sinks(sinks, || {
-                            let _span = srda_obs::span!(rec, "fit/response[{j}]/lsqr");
-                            let controls = SolveControls {
-                                governor,
-                                telemetry: trace.as_ref(),
-                                ..SolveControls::default()
-                            };
-                            lsqr_controlled(op, &col, cfg, &controls)
-                        })
-                    })
+        let telemetry: Vec<Option<&SolverTrace>> = traces.iter().map(Option::as_ref).collect();
+        // the whole panel's state, with the columns finished before this
+        // run in their places
+        let merge = |state: Vec<PanelColumn>| -> Vec<PanelColumn> {
+            let mut state = state.into_iter();
+            before
+                .iter()
+                .map(|b| match b {
+                    Some(c) => PanelColumn::Done(c.clone()),
+                    None => state.next().expect("one state per running column"),
                 })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("lsqr thread"))
                 .collect()
-        });
-        let mut interrupted: Option<Interrupt> = None;
-        let mut responses_completed = 0;
-        for (j, r) in results.iter().enumerate() {
-            total_iters += r.iterations;
-            if let StopReason::Interrupted(reason) = r.stop {
-                interrupted.get_or_insert(reason);
-                continue;
-            }
-            record_lsqr_response(&mut report, j, r, tol, op, &ybar.col(j), cfg.damp)?;
-            responses_completed += 1;
-            w.set_col(j, &r.x);
-        }
-        return Ok(match interrupted {
-            None => ResponsesOutcome::Done {
-                w,
-                iterations: total_iters,
-                report,
-            },
-            Some(reason) => ResponsesOutcome::Interrupted {
-                reason,
-                report,
-                responses_completed,
-                iterations: total_iters,
-                // concurrent solves have no serial prefix to persist
-                checkpoint: None,
-            },
-        });
-    }
-
-    for j in start_j..k {
-        let col = ybar.col(j);
-        let _span = srda_obs::span!(ctl.recorder, "fit/response[{j}]/lsqr");
-        let trace = if ctl.recorder.is_enabled() {
-            ctl.recorder.solver_trace(format!("fit/response[{j}]/lsqr"))
-        } else {
-            None
         };
-        if let Some(t) = &trace {
-            t.set_backend(ctl.backend);
-        }
-        let resume_this = if j == start_j {
-            in_flight.as_ref()
-        } else {
-            None
-        };
-        // periodic writer: a snapshot of the finished columns plus the
-        // solver's in-flight state, refreshed from inside the LSQR loop
+        // periodic writer: the finished panels plus this panel's state,
+        // refreshed from inside the lockstep loop
         let writer: Option<CheckpointWriter> = match (ctl.checkpoint, ctl.fingerprint) {
             (Some((path, every)), Some(fp)) if every > 0 => {
-                let prefix = completed.clone();
+                let completed = completed.clone();
                 let warnings = report.warnings.clone();
                 let path = path.to_path_buf();
-                Some(Box::new(move |state: &LsqrCheckpoint| {
+                Some(Box::new(move |state: &[PanelColumn]| {
                     let snapshot = FitCheckpoint {
                         fingerprint: fp,
-                        completed: prefix.clone(),
-                        in_flight: Some(state.clone()),
+                        completed: completed.clone(),
+                        panel: merge(state.to_vec()),
                         warnings: warnings.clone(),
                     };
                     // periodic persistence is best-effort: a full disk
@@ -1198,42 +1315,96 @@ fn solve_lsqr_responses_controlled<A: LinearOperator + ?Sized + Sync>(
             }
             _ => None,
         };
-        let controls = SolveControls {
+        let controls = PanelControls {
             governor: ctl.governor,
-            resume: resume_this,
+            resume: (!resume.is_empty()).then_some(resume.as_slice()),
             checkpoint_every: ctl.checkpoint.map_or(0, |(_, every)| every),
             on_checkpoint: writer.as_deref(),
-            telemetry: trace.as_ref(),
+            telemetry: &telemetry,
         };
-        let r = lsqr_controlled(op, &col, &cfg, &controls);
-        if let StopReason::Interrupted(reason) = r.stop {
-            total_iters += r.iterations;
+        let panel_op = PanelOp {
+            inner: op,
+            recorder: ctl.recorder,
+            panel: i,
+            passes: &passes,
+        };
+        let results = lsqr_panel(&panel_op, &rhs, w.as_mut_slice(), k, &run, &cfg, &controls);
+
+        // the panel in column order: (iterations, stop, residual) of the
+        // columns finished before this run and of this run's columns
+        let mut from_run = results.iter();
+        let ends: Vec<(usize, StopReason, f64)> = before
+            .iter()
+            .map(|b| match b {
+                Some(c) => (c.iterations, c.stop, c.residual_norm),
+                None => {
+                    let r = from_run.next().expect("one result per running column");
+                    (r.iterations, r.stop, r.residual_norm)
+                }
+            })
+            .collect();
+        total_iters += ends.iter().map(|e| e.0).sum::<usize>();
+        for &(_, stop, _) in &ends {
+            ensure_converging(stop)?;
+        }
+        if let Some(reason) = results.iter().find_map(|r| match r.stop {
+            StopReason::Interrupted(reason) => Some(reason),
+            _ => None,
+        }) {
+            let mut state = Vec::with_capacity(run.len());
+            for (&j, r) in run.iter().zip(&results) {
+                state.push(match (&r.stop, &r.checkpoint) {
+                    (StopReason::Interrupted(_), Some(s)) => PanelColumn::Running((**s).clone()),
+                    (StopReason::Interrupted(_), None) => continue,
+                    _ => PanelColumn::Done(CompletedResponse {
+                        x: w.col(j),
+                        iterations: r.iterations,
+                        stop: r.stop,
+                        residual_norm: r.residual_norm,
+                    }),
+                });
+            }
+            // without every running column's state (a kill with no
+            // governor or periodic checkpoints), the panel restarts from
+            // scratch on resume, its finished columns included
+            let panel = if state.len() == run.len() {
+                merge(state)
+            } else {
+                Vec::new()
+            };
+            let kept = panel
+                .iter()
+                .filter(|c| matches!(c, PanelColumn::Done(_)))
+                .count();
             let checkpoint = ctl.fingerprint.map(|fp| {
                 Box::new(FitCheckpoint {
                     fingerprint: fp,
-                    completed: completed.clone(),
-                    in_flight: r.checkpoint.map(|b| *b),
+                    completed,
+                    panel,
                     warnings: report.warnings.clone(),
                 })
             });
             return Ok(ResponsesOutcome::Interrupted {
                 reason,
                 report,
-                responses_completed: j,
+                responses_completed: cols.start + kept,
                 iterations: total_iters,
                 checkpoint,
             });
         }
-        record_lsqr_response(&mut report, j, &r, tol, op, &col, cfg.damp)?;
-        total_iters += r.iterations;
-        if ctl.fingerprint.is_some() {
-            completed.push(CompletedResponse {
-                x: r.x.clone(),
-                iterations: r.iterations,
-                stop: r.stop,
-            });
+
+        let certs = panel_op.certify(ybar, &w, cols.clone(), cfg.damp);
+        for ((j, (iterations, stop, residual)), cert) in cols.clone().zip(ends).zip(certs) {
+            record_lsqr_response(&mut report, j, iterations, stop, residual, tol, cert);
+            if ctl.fingerprint.is_some() {
+                completed.push(CompletedResponse {
+                    x: w.col(j),
+                    iterations,
+                    stop,
+                    residual_norm: residual,
+                });
+            }
         }
-        w.set_col(j, &r.x);
     }
     Ok(ResponsesOutcome::Done {
         w,
@@ -1743,6 +1914,7 @@ mod tests {
     }
 
     #[test]
+    #[allow(deprecated)]
     fn parallel_responses_match_sequential() {
         let (x, y) = three_blobs();
         let seq = Srda::new(SrdaConfig {
@@ -1765,12 +1937,187 @@ mod tests {
         })
         .fit_dense(&x, &y)
         .unwrap();
-        // bitwise identical: same algorithm, same inputs, different threads
+        // the deprecated flag is ignored: the same lockstep fit, bit for bit
         assert!(seq
             .embedding()
             .weights()
             .approx_eq(par.embedding().weights(), 0.0));
         assert_eq!(seq.lsqr_iterations(), par.lsqr_iterations());
+    }
+
+    /// An operator of a given shape that only answers
+    /// [`panel_width`]'s questions.
+    struct Shape {
+        m: usize,
+        cols: usize,
+        shared: bool,
+    }
+
+    impl LinearOperator for Shape {
+        fn nrows(&self) -> usize {
+            self.m
+        }
+        fn ncols(&self) -> usize {
+            self.cols
+        }
+        fn apply(&self, _: &[f64]) -> Vec<f64> {
+            unreachable!("a shape has no products")
+        }
+        fn apply_t(&self, _: &[f64]) -> Vec<f64> {
+            unreachable!("a shape has no products")
+        }
+        fn shares_block_passes(&self) -> bool {
+            self.shared
+        }
+    }
+
+    #[test]
+    fn panel_width_keeps_the_lockstep_state_within_the_weight_matrix() {
+        let width = |m, cols, k| {
+            panel_width(
+                &Shape {
+                    m,
+                    cols,
+                    shared: true,
+                },
+                k,
+            )
+        };
+        let widths = |cols: Range<usize>, p| {
+            lsqr_panels(cols, p)
+                .iter()
+                .map(|r| r.len())
+                .collect::<Vec<_>>()
+        };
+        // the 20NG disk workload: 5500 × (26214 + 1), 19 responses
+        assert_eq!(width(5500, 26215, 19), 5);
+        assert_eq!(widths(0..19, 5), vec![5, 5, 5, 4]);
+        // a PIE-shaped LSQR fit, taller than wide: 1496 × 1025, 67
+        // responses; the state is 11 · (3·1025 + 2·1496) = 66,737 doubles
+        // against a 68,675-double weight matrix
+        assert_eq!(width(1496, 1025, 67), 11);
+        assert_eq!(widths(0..67, 11), vec![10, 10, 10, 10, 9, 9, 9]);
+        // a tall corpus: the u and A·v blocks alone outgrow the weights
+        assert_eq!(width(1_000_000, 26215, 19), 1);
+        // no panels through an operator whose blocks are per column
+        let dense = Shape {
+            m: 10,
+            cols: 10_000,
+            shared: false,
+        };
+        assert_eq!(panel_width(&dense, 19), 1);
+        for m in [0, 1, 7, 100, 1496, 5500, 1_000_000] {
+            for cols in [1, 2, 50, 1025, 26215] {
+                for k in 1..40 {
+                    let p = width(m, cols, k);
+                    let state = |p: usize| (3 * cols + 2 * m) * p;
+                    assert!(p == 1 || state(p) <= cols * k, "{m} × {cols}, k = {k}");
+                    assert!(state(p + 1) > cols * k, "{m} × {cols}, k = {k}: not widest");
+                    assert!(k > 5 || p == 1);
+                }
+            }
+        }
+        assert!(lsqr_panels(3..3, 2).is_empty());
+        for (cols, p) in [(0..19, 5), (5..19, 5), (0..7, 2), (2..7, 2), (4..200, 9)] {
+            let panels = lsqr_panels(cols.clone(), p);
+            assert_eq!(panels.first().unwrap().start, cols.start);
+            assert_eq!(panels.last().unwrap().end, cols.end);
+            assert!(panels.windows(2).all(|w| w[0].end == w[1].start));
+            assert!(panels.windows(2).all(|w| w[0].len() >= w[1].len()));
+            assert!(panels
+                .iter()
+                .all(|r| r.len() <= p && r.len() + 1 >= panels[0].len()));
+        }
+    }
+
+    /// A dense matrix that claims shared block passes, so a unit test
+    /// runs lockstep panels without a file. Its block products are the
+    /// per-column defaults: bitwise what a native block product gives.
+    struct Panelled<'a>(&'a Mat);
+
+    impl LinearOperator for Panelled<'_> {
+        fn nrows(&self) -> usize {
+            self.0.nrows()
+        }
+        fn ncols(&self) -> usize {
+            self.0.ncols()
+        }
+        fn apply(&self, x: &[f64]) -> Vec<f64> {
+            LinearOperator::apply(self.0, x)
+        }
+        fn apply_t(&self, x: &[f64]) -> Vec<f64> {
+            LinearOperator::apply_t(self.0, x)
+        }
+        fn apply_into(&self, x: &[f64], y: &mut [f64]) {
+            LinearOperator::apply_into(self.0, x, y)
+        }
+        fn apply_t_into(&self, x: &[f64], y: &mut [f64]) {
+            LinearOperator::apply_t_into(self.0, x, y)
+        }
+        fn shares_block_passes(&self) -> bool {
+            true
+        }
+    }
+
+    /// Eight classes of two samples in 80-D: 7 responses. Wide enough
+    /// (81 ≥ 4 · 16) for panels of 2, 2, 2, 1 through [`Panelled`].
+    fn eight_wide() -> (Mat, Vec<usize>) {
+        let x = Mat::from_fn(16, 80, |i, d| {
+            let h = ((i * 13 + d * 7) as f64 * 12.9898).sin() * 43758.5453;
+            ((i / 2 + d) % 4) as f64 + (h - h.floor() - 0.5) * 0.5
+        });
+        (x, (0..16).map(|i| i / 2).collect())
+    }
+
+    #[test]
+    fn lockstep_fit_records_panel_spans_and_operator_passes() {
+        let (x, y) = eight_wide();
+        let fit = |panelled: bool| {
+            let rec = Recorder::new_enabled();
+            let srda = Srda::new(SrdaConfig {
+                solver: SrdaSolver::Lsqr {
+                    max_iter: 12,
+                    tol: 0.0,
+                },
+                recorder: rec,
+                ..SrdaConfig::default()
+            });
+            let model = if panelled {
+                srda.fit_operator(&Panelled(&x), &y)
+            } else {
+                srda.fit_dense(&x, &y)
+            };
+            (model.unwrap(), rec.snapshot())
+        };
+        // panels of 2, 2, 2, 1 where the passes are shared; one response
+        // per panel through the in-memory matrix
+        for (panelled, widths) in [(true, vec![2, 2, 2, 1]), (false, vec![1; 7])] {
+            let (model, report) = fit(panelled);
+            // per panel: one start-up product, two per iteration, three
+            // to certify
+            assert_eq!(
+                report.counters["lsqr.operator_passes"],
+                widths.len() as u64 * (1 + 2 * 12 + 3)
+            );
+            for i in 0..widths.len() {
+                for child in ["", "/apply", "/apply_t", "/certify"] {
+                    let path = format!("fit/lsqr/panel[{i}]{child}");
+                    assert!(report.spans.iter().any(|s| s.path == path), "{path}");
+                }
+            }
+            let past = format!("fit/lsqr/panel[{}]", widths.len());
+            assert!(!report.spans.iter().any(|s| s.path == past), "{past}");
+            let labels: Vec<&str> = report.traces.iter().map(|t| t.label.as_str()).collect();
+            let want: Vec<String> = (0..7).map(|j| format!("fit/response[{j}]/lsqr")).collect();
+            assert_eq!(labels, want);
+            assert!(report.traces.iter().all(|t| t.iterations.len() == 12));
+            assert_eq!(model.lsqr_iterations(), 7 * 12);
+        }
+        // the same model either way, bit for bit
+        let (a, _) = fit(true);
+        let (b, _) = fit(false);
+        assert_eq!(bits(a.embedding().weights()), bits(b.embedding().weights()));
+        assert_eq!(a.embedding().bias(), b.embedding().bias());
     }
 
     #[test]
@@ -1961,6 +2308,130 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Interrupt the eight-class fit (through [`Panelled`] or the dense
+    /// matrix) at `cap` column-iterations and return its checkpoint.
+    fn eight_wide_checkpoint(panelled: bool, cap: usize, tag: &str) -> (PathBuf, PathBuf) {
+        let (x, y) = eight_wide();
+        let dir = scratch(tag);
+        let srda = Srda::new(SrdaConfig {
+            governor: Some(RunGovernor::with_budget(RunBudget::with_iter_cap(cap))),
+            checkpoint: Some(CheckpointPolicy {
+                dir: dir.clone(),
+                every: 0,
+            }),
+            ..SrdaConfig::lsqr_default()
+        });
+        let outcome = if panelled {
+            srda.fit_operator_outcome(&Panelled(&x), &y)
+        } else {
+            srda.fit_dense_outcome(&x, &y)
+        };
+        match outcome.unwrap() {
+            FitOutcome::Interrupted(i) => (i.checkpoint.unwrap(), dir),
+            FitOutcome::Complete(_) => panic!("{cap} of 105 iterations must interrupt"),
+        }
+    }
+
+    #[test]
+    fn resume_rejects_a_checkpoint_that_does_not_fit_the_responses() {
+        let (x, y) = eight_wide();
+        // cap 20 lands in panel 0 after 10 iterations of both columns
+        let (path, dir) = eight_wide_checkpoint(true, 20, "layout");
+        let good = FitCheckpoint::read(&path).unwrap();
+        assert!(good.completed.is_empty());
+        assert_eq!(good.panel.len(), 2);
+        let done = CompletedResponse {
+            x: vec![0.0; 81],
+            iterations: 15,
+            stop: StopReason::MaxIterations,
+            residual_norm: 1.0,
+        };
+        // the running states now sit on responses 1 and 2
+        let mut shifted = good.clone();
+        shifted.completed.push(done.clone());
+        let mut too_many = good.clone();
+        too_many.completed = vec![done; 6];
+        let mut wrong_rhs = good.clone();
+        wrong_rhs.panel.swap(0, 1);
+        let mut narrow_iterate = good;
+        narrow_iterate.completed.push(CompletedResponse {
+            x: vec![0.0; 80],
+            iterations: 15,
+            stop: StopReason::MaxIterations,
+            residual_norm: 1.0,
+        });
+        narrow_iterate.panel.clear();
+        for bad in [shifted, too_many, wrong_rhs, narrow_iterate] {
+            bad.write_atomic(&path).unwrap();
+            let err = Srda::new(SrdaConfig {
+                resume_from: Some(path.clone()),
+                ..SrdaConfig::lsqr_default()
+            })
+            .fit_operator(&Panelled(&x), &y);
+            assert!(matches!(err, Err(SrdaError::Checkpoint(_))), "{err:?}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn resume_continues_a_checkpoint_written_with_other_panel_widths() {
+        let (x, y) = eight_wide();
+        let baseline = Srda::new(SrdaConfig::lsqr_default())
+            .fit_dense(&x, &y)
+            .unwrap();
+        // caps 35 and 50 stop mid-panel in both layouts: panels of two
+        // stop columns 2 and 3 together, one at a time stops column 2
+        // (35) or 3 (50) with the columns before it done
+        for (written_panelled, cap) in [(true, 50), (false, 35), (true, 35), (false, 50)] {
+            let tag = format!("relayout-{written_panelled}-{cap}");
+            let (path, dir) = eight_wide_checkpoint(written_panelled, cap, &tag);
+            let srda = Srda::new(SrdaConfig {
+                resume_from: Some(path),
+                ..SrdaConfig::lsqr_default()
+            });
+            // resume through the other layout
+            let resumed = if written_panelled {
+                srda.fit_dense(&x, &y)
+            } else {
+                srda.fit_operator(&Panelled(&x), &y)
+            }
+            .unwrap();
+            assert_eq!(
+                bits(baseline.embedding().weights()),
+                bits(resumed.embedding().weights()),
+                "{tag}"
+            );
+            assert_eq!(baseline.embedding().bias(), resumed.embedding().bias());
+            assert_eq!(baseline.lsqr_iterations(), resumed.lsqr_iterations());
+            let cert_bits = |m: &SrdaModel| -> Vec<u64> {
+                m.fit_report()
+                    .certificates
+                    .iter()
+                    .map(|c| c.backward_error.to_bits())
+                    .collect()
+            };
+            assert_eq!(cert_bits(&baseline), cert_bits(&resumed), "{tag}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn lsqr_interrupt_without_checkpoint_policy_has_no_checkpoint() {
+        let (x, y) = three_blobs();
+        let cfg = SrdaConfig {
+            governor: Some(RunGovernor::with_budget(RunBudget::with_iter_cap(3))),
+            ..SrdaConfig::lsqr_default()
+        };
+        match Srda::new(cfg).fit_dense_outcome(&x, &y).unwrap() {
+            FitOutcome::Interrupted(i) => {
+                assert_eq!(i.reason, Interrupt::IterBudgetExhausted);
+                assert!(i.checkpoint.is_none(), "no CheckpointPolicy, no checkpoint");
+                assert_eq!(i.responses_completed, 0);
+            }
+            FitOutcome::Complete(_) => panic!("3 iterations cannot finish 2×15"),
+        }
+    }
+
     #[test]
     fn resume_against_different_data_is_a_typed_checkpoint_error() {
         let (x, y) = three_blobs();
@@ -2041,26 +2512,6 @@ mod tests {
         match Srda::new(cfg).fit_dense_outcome(&x, &y).unwrap() {
             FitOutcome::Interrupted(i) => assert_eq!(i.reason, Interrupt::Cancelled),
             FitOutcome::Complete(_) => panic!("cancelled token must interrupt"),
-        }
-    }
-
-    #[test]
-    fn parallel_responses_with_governor_interrupt_without_checkpoint() {
-        let (x, y) = three_blobs();
-        let cfg = SrdaConfig {
-            parallel_responses: true,
-            governor: Some(RunGovernor::with_budget(RunBudget::with_iter_cap(3))),
-            ..SrdaConfig::lsqr_default()
-        };
-        match Srda::new(cfg).fit_dense_outcome(&x, &y).unwrap() {
-            FitOutcome::Interrupted(i) => {
-                assert_eq!(i.reason, Interrupt::IterBudgetExhausted);
-                assert!(
-                    i.checkpoint.is_none(),
-                    "parallel interrupts don't checkpoint"
-                );
-            }
-            FitOutcome::Complete(_) => panic!("3 shared iterations cannot finish 2×15"),
         }
     }
 

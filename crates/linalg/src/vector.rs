@@ -56,6 +56,54 @@ pub fn norm2_robust(x: &[f64]) -> f64 {
     norm2(x)
 }
 
+/// [`norm2_robust`] of every column of the row-major block `a` (`q`
+/// columns) whose `want` flag is set; the other columns read 0 and cost
+/// nothing. The block is read row by row with one accumulator per column,
+/// so each norm, and the flam counted, are bitwise those of
+/// [`norm2_robust`] on that column.
+pub fn col_norms2_robust(a: &[f64], q: usize, want: &[bool]) -> Vec<f64> {
+    debug_assert_eq!(want.len(), q);
+    match q {
+        0 => return Vec::new(),
+        1 => return vec![if want[0] { norm2_robust(a) } else { 0.0 }],
+        _ => {}
+    }
+    let rows = a.len() / q;
+    let mut nan = vec![false; q];
+    let mut max = vec![0.0f64; q];
+    for row in a.chunks_exact(q) {
+        for ((&v, m), n) in row.iter().zip(&mut max).zip(&mut nan) {
+            *n |= v.is_nan();
+            *m = m.max(v.abs());
+        }
+    }
+    let mut acc = vec![0.0f64; q];
+    for row in a.chunks_exact(q) {
+        for ((&v, &m), s) in row.iter().zip(&max).zip(&mut acc) {
+            let t = v / m;
+            *s += t * t;
+        }
+    }
+    (0..q)
+        .map(|j| {
+            if !want[j] {
+                0.0
+            } else if nan[j] {
+                f64::NAN
+            } else {
+                flam::add(rows as u64);
+                if max[j] == 0.0 {
+                    0.0
+                } else if !max[j].is_finite() {
+                    f64::INFINITY
+                } else {
+                    max[j] * acc[j].sqrt()
+                }
+            }
+        })
+        .collect()
+}
+
 /// Sum of entries.
 pub fn sum(x: &[f64]) -> f64 {
     flam::add(x.len() as u64);
@@ -196,6 +244,37 @@ mod tests {
         let n = norm2_robust(&x);
         assert!(n.is_finite());
         assert!((n - big * 3.0f64.sqrt()).abs() / n < 1e-14);
+    }
+
+    #[test]
+    fn col_norms_match_per_column_norms_bitwise() {
+        let cols: Vec<Vec<f64>> = vec![
+            vec![3.0, -4.0, 0.5, 1e-3],
+            vec![0.0, -0.0, 0.0, 0.0],
+            vec![1e200, -1e200, 3.5, 2.0],
+            vec![1.0, f64::NAN, 2.0, 0.0],
+            vec![1.0, f64::INFINITY, 2.0, 0.0],
+            vec![1e-300, 2e-300, -3e-300, 0.1],
+        ];
+        let q = cols.len();
+        let block: Vec<f64> = (0..4)
+            .flat_map(|i| cols.iter().map(move |c| c[i]))
+            .collect();
+        let want: Vec<bool> = (0..q).map(|j| j != 5).collect();
+        let (norms, cost) = flam::measure(|| col_norms2_robust(&block, q, &want));
+        let (expect, expect_cost) = flam::measure(|| {
+            cols.iter()
+                .zip(&want)
+                .map(|(c, &w)| if w { norm2_robust(c) } else { 0.0 })
+                .collect::<Vec<_>>()
+        });
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&norms), bits(&expect));
+        assert_eq!(cost, expect_cost);
+        assert_eq!(
+            col_norms2_robust(&block[..4], 1, &[true]),
+            vec![norm2_robust(&block[..4])]
+        );
     }
 
     #[test]

@@ -208,51 +208,78 @@ pub fn certify_operator<Op: LinearOperator + ?Sized>(
     x: &[f64],
     damp: f64,
 ) -> SolveCertificate {
-    let atb = op.apply_t(b);
-    let denom = vector::norm2_robust(&atb);
-    let ax = op.apply(x);
-    let mut r = b.to_vec();
-    for (ri, ti) in r.iter_mut().zip(&ax) {
-        *ri -= ti;
-    }
-    let mut s = op.apply_t(&r);
+    certify_operator_block(op, b, x, 1, damp)
+        .pop()
+        .expect("one certificate per column")
+}
+
+/// [`certify_operator`] for every column of a panel: `b` is the row-major
+/// `nrows × p` block of right-hand sides and `x` the row-major `ncols × p`
+/// block of solutions. The three operator applies are block products, so
+/// a streaming operator makes three passes over its data for the whole
+/// panel. The norms run row by row with one accumulator per column, so
+/// each certificate, and the flam counted, are bitwise those of
+/// [`certify_operator`] on that column.
+pub fn certify_operator_block<Op: LinearOperator + ?Sized>(
+    op: &Op,
+    b: &[f64],
+    x: &[f64],
+    p: usize,
+    damp: f64,
+) -> Vec<SolveCertificate> {
+    let (m, n) = (op.nrows(), op.ncols());
+    let all = vec![true; p];
+    let mut s = vec![0.0; n * p];
+    op.apply_t_block_into(b, p, &mut s);
+    let denom = vector::col_norms2_robust(&s, p, &all);
+    let mut ax = vec![0.0; m * p];
+    op.apply_block_into(x, p, &mut ax);
+    let r: Vec<f64> = b.iter().zip(&ax).map(|(bi, ti)| bi - ti).collect();
+    op.apply_t_block_into(&r, p, &mut s);
     let d2 = damp * damp;
     for (si, xi) in s.iter_mut().zip(x) {
         *si -= d2 * xi;
     }
-    let s_norm = vector::norm2_robust(&s);
-    let rho = if s_norm == 0.0 {
-        0.0
-    } else if denom == 0.0 || !s_norm.is_finite() {
-        f64::INFINITY
-    } else {
-        s_norm / denom
-    };
-    let x_norm = vector::norm2_robust(x);
-    let cond_estimate = if x_norm == 0.0 || !x_norm.is_finite() {
-        1.0
-    } else {
-        let sigma_sq = {
-            let q = vector::norm2_robust(&ax) / x_norm;
-            q * q
-        };
-        if d2 > 0.0 {
-            (sigma_sq + d2) / d2
-        } else {
-            f64::INFINITY
-        }
-    };
-    let certified = if rho.is_finite() && rho <= CERTIFY_RESIDUAL {
-        CertStatus::Certified
-    } else {
-        CertStatus::Suspect
-    };
-    SolveCertificate {
-        backward_error: rho,
-        cond_estimate,
-        refinement_steps: 0,
-        certified,
-    }
+    let s_norm = vector::col_norms2_robust(&s, p, &all);
+    let x_norm = vector::col_norms2_robust(x, p, &all);
+    // ‖A·x‖ is only needed, and only counted, where ‖x‖ is a usable scale
+    let probe: Vec<bool> = x_norm.iter().map(|v| *v != 0.0 && v.is_finite()).collect();
+    let ax_norm = vector::col_norms2_robust(&ax, p, &probe);
+    (0..p)
+        .map(|j| {
+            let rho = if s_norm[j] == 0.0 {
+                0.0
+            } else if denom[j] == 0.0 || !s_norm[j].is_finite() {
+                f64::INFINITY
+            } else {
+                s_norm[j] / denom[j]
+            };
+            let cond_estimate = if !probe[j] {
+                1.0
+            } else {
+                let sigma_sq = {
+                    let q = ax_norm[j] / x_norm[j];
+                    q * q
+                };
+                if d2 > 0.0 {
+                    (sigma_sq + d2) / d2
+                } else {
+                    f64::INFINITY
+                }
+            };
+            let certified = if rho.is_finite() && rho <= CERTIFY_RESIDUAL {
+                CertStatus::Certified
+            } else {
+                CertStatus::Suspect
+            };
+            SolveCertificate {
+                backward_error: rho,
+                cond_estimate,
+                refinement_steps: 0,
+                certified,
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]

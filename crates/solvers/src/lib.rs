@@ -51,14 +51,14 @@ pub mod ridge;
 pub mod robust;
 
 pub use certificate::{
-    certify_operator, certify_spd_solve, certify_spd_solves, worst_backward_error, CertStatus,
-    SolveCertificate, CERTIFY_BOUND, CERTIFY_RESIDUAL,
+    certify_operator, certify_operator_block, certify_spd_solve, certify_spd_solves,
+    worst_backward_error, CertStatus, SolveCertificate, CERTIFY_BOUND, CERTIFY_RESIDUAL,
 };
 pub use checkpoint::{CglsCheckpoint, CheckpointError, LsqrCheckpoint, ProblemFingerprint};
 pub use governor::{CancelToken, Interrupt, RunBudget, RunGovernor};
 pub use lsqr::{
-    lsqr, lsqr_controlled, lsqr_warm, lsqr_warm_governed, LsqrConfig, LsqrResult, SolveControls,
-    StopReason,
+    lsqr, lsqr_controlled, lsqr_panel, lsqr_warm, lsqr_warm_governed, CompletedResponse,
+    LsqrConfig, LsqrResult, PanelColumn, PanelControls, PanelResult, SolveControls, StopReason,
 };
 pub use operator::{AugmentedOp, CenteredOp, ExecCsr, ExecDense, LinearOperator};
 pub use ridge::{RidgeForm, RidgeSolver};

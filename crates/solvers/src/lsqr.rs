@@ -6,6 +6,9 @@
 //! paper's `O(kc·ms)` training cost, the headline "linear time" result.
 //! The paper runs a fixed 15–20 iterations; [`LsqrConfig`] supports both a
 //! hard iteration cap and standard residual-based stopping rules.
+//! [`lsqr_panel`] runs several right-hand sides in lockstep, one block
+//! product pair per iteration for all of them, each column bitwise its
+//! single-vector solve; [`lsqr_controlled`] is its one-column case.
 
 use crate::checkpoint::{LsqrCheckpoint, ProblemFingerprint};
 use crate::governor::{Interrupt, RunGovernor};
@@ -180,47 +183,9 @@ pub fn lsqr<A: LinearOperator + ?Sized>(a: &A, b: &[f64], cfg: &LsqrConfig) -> L
     lsqr_controlled(a, b, cfg, &SolveControls::default())
 }
 
-/// Capture the end-of-iteration state as a resumable checkpoint. Every
-/// field the next iteration reads is here; `beta` is not, because each
-/// iteration recomputes it from scratch before first use.
-#[allow(clippy::too_many_arguments)]
-fn snapshot(
-    fingerprint: ProblemFingerprint,
-    iteration: usize,
-    x: &[f64],
-    w: &[f64],
-    u: &[f64],
-    v: &[f64],
-    alpha: f64,
-    phibar: f64,
-    rhobar: f64,
-    anorm_sq: f64,
-    b_norm: f64,
-    best_res: f64,
-    no_improve: usize,
-    trace: &[f64],
-) -> LsqrCheckpoint {
-    LsqrCheckpoint {
-        fingerprint,
-        iteration,
-        x: x.to_vec(),
-        w: w.to_vec(),
-        u: u.to_vec(),
-        v: v.to_vec(),
-        alpha,
-        phibar,
-        rhobar,
-        anorm_sq,
-        b_norm,
-        best_res,
-        no_improve,
-        residual_trace: trace.to_vec(),
-    }
-}
-
 /// [`lsqr`] with run governance: budget/cancellation checks at every
 /// iteration boundary, periodic checkpoint emission, and resume from a
-/// prior [`LsqrCheckpoint`].
+/// prior [`LsqrCheckpoint`]. It is the one-column [`lsqr_panel`].
 ///
 /// ## Determinism contract
 ///
@@ -238,273 +203,465 @@ pub fn lsqr_controlled<A: LinearOperator + ?Sized>(
     ctl: &SolveControls,
 ) -> LsqrResult {
     assert_eq!(b.len(), a.nrows(), "rhs length must equal operator rows");
-    cfg.validate();
-    if let Some(t) = ctl.telemetry {
-        t.set_solver("lsqr", cfg.damp);
-    }
-    let n = a.ncols();
-    let mut x = vec![0.0; n];
-
-    let diverged = |x: Vec<f64>, iterations: usize, trace: Vec<f64>| LsqrResult {
-        x,
-        iterations,
-        residual_norm: f64::INFINITY,
-        stop: StopReason::Diverged,
-        residual_trace: trace,
-        checkpoint: None,
+    let mut x = vec![0.0; a.ncols()];
+    let telemetry = [ctl.telemetry];
+    let forward = ctl.on_checkpoint.map(|cb| {
+        move |cols: &[PanelColumn]| {
+            if let [PanelColumn::Running(state)] = cols {
+                cb(state);
+            }
+        }
+    });
+    let panel = PanelControls {
+        governor: ctl.governor,
+        resume: ctl.resume.map(std::slice::from_ref),
+        checkpoint_every: ctl.checkpoint_every,
+        on_checkpoint: forward.as_ref().map(|f| f as &PanelCheckpointFn),
+        telemetry: &telemetry,
     };
-
-    // reject a poisoned right-hand side before any work: a NaN here would
-    // otherwise propagate through every recurrence below
-    if !b.iter().all(|v| v.is_finite()) {
-        return diverged(x, 0, vec![]);
+    let r = lsqr_panel(a, &[b], &mut x, 1, &[0], cfg, &panel)
+        .pop()
+        .expect("one result per right-hand side");
+    LsqrResult {
+        x,
+        iterations: r.iterations,
+        residual_norm: r.residual_norm,
+        stop: r.stop,
+        residual_trace: r.residual_trace,
+        checkpoint: r.checkpoint,
     }
+}
+
+/// A response column whose solve has finished.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CompletedResponse {
+    /// The solved column (length `ncols` of the operator).
+    pub x: Vec<f64>,
+    /// Iterations the solve consumed.
+    pub iterations: usize,
+    /// Why it stopped (never `Interrupted`: an interrupted column is
+    /// [`PanelColumn::Running`]).
+    pub stop: StopReason,
+    /// Final estimate of the damped residual norm.
+    pub residual_norm: f64,
+}
+
+/// One column of a panel's resumable state.
+#[derive(Debug, Clone, PartialEq)]
+pub enum PanelColumn {
+    /// The column stopped before the snapshot.
+    Done(CompletedResponse),
+    /// The column is still iterating; resume it from this state.
+    Running(LsqrCheckpoint),
+}
+
+/// A receiver of a panel's periodic state ([`PanelControls::on_checkpoint`]).
+pub type PanelCheckpointFn<'a> = dyn Fn(&[PanelColumn]) + 'a;
+
+/// Governance hooks for [`lsqr_panel`]: the panel form of
+/// [`SolveControls`], with one resume state and one telemetry channel per
+/// column.
+#[derive(Clone, Copy, Default)]
+pub struct PanelControls<'a> {
+    /// Budget/cancellation authority. It is ticked once per running column
+    /// at the top of every lockstep iteration, in column order, so an
+    /// iteration budget still counts column-iterations. Any interrupt
+    /// stops the whole panel at that boundary.
+    pub governor: Option<&'a RunGovernor>,
+    /// Resume every column from its state: one per right-hand side, all
+    /// captured at the same iteration. A state whose fingerprint does not
+    /// match its column panics, as in [`SolveControls::resume`].
+    pub resume: Option<&'a [LsqrCheckpoint]>,
+    /// Emit the panel's state every N lockstep iterations (0 = never).
+    pub checkpoint_every: usize,
+    /// Where periodic states go: one [`PanelColumn`] per right-hand side,
+    /// emitted while at least one column is still running.
+    pub on_checkpoint: Option<&'a PanelCheckpointFn<'a>>,
+    /// One telemetry channel per right-hand side (empty for none).
+    pub telemetry: &'a [Option<&'a SolverTrace>],
+}
+
+/// How one column of a [`lsqr_panel`] solve ended. The fields mean what
+/// they mean on [`LsqrResult`]; the iterate is in the caller's output
+/// block.
+#[derive(Debug, Clone)]
+pub struct PanelResult {
+    /// Iterations this column performed.
+    pub iterations: usize,
+    /// Final estimate of the damped residual norm.
+    pub residual_norm: f64,
+    /// Stopping cause.
+    pub stop: StopReason,
+    /// Damped-residual-norm trace, one entry per iteration.
+    pub residual_trace: Vec<f64>,
+    /// The resumable state, when the panel was interrupted under a
+    /// governor.
+    pub checkpoint: Option<Box<LsqrCheckpoint>>,
+}
+
+/// Lockstep LSQR: solve `min ‖A·xⱼ − bⱼ‖² + damp²‖xⱼ‖²` for every
+/// right-hand side `bⱼ` of a panel at once.
+///
+/// Each iteration makes one block product pair `A·V`, `Aᵀ·U` for all
+/// running columns — for a [`srda_sparse::DiskCsr`] that is one scan of
+/// the file per product instead of one per column. It is **not**
+/// block-Krylov: every column keeps its own Golub–Kahan recurrence,
+/// Paige–Saunders scalars, stopping rules and finiteness checks, the block
+/// products sum each column as the single-vector products do
+/// ([`LinearOperator::apply_block_into`]), and the vector updates and
+/// norms run row by row with one accumulator per column. So each column's
+/// iterate, iteration count, stop reason and residual trace are bitwise
+/// those of [`lsqr_controlled`] on that column alone. A column that stops
+/// leaves the lockstep state, and the products shrink to the columns
+/// still running.
+///
+/// Column `j`'s iterate is written to `x[i·ldx + xcols[j]]` for
+/// `i < ncols`; `b` and `xcols` have one entry per right-hand side.
+pub fn lsqr_panel<A: LinearOperator + ?Sized>(
+    a: &A,
+    b: &[&[f64]],
+    x: &mut [f64],
+    ldx: usize,
+    xcols: &[usize],
+    cfg: &LsqrConfig,
+    ctl: &PanelControls,
+) -> Vec<PanelResult> {
+    let p = b.len();
+    assert_eq!(xcols.len(), p, "one output column per right-hand side");
+    if p == 1 && ldx > 1 {
+        // a lone right-hand side iterates on a contiguous x, so every
+        // update takes the flat loop; it lands in its column at the end
+        let mut xs = vec![0.0; a.ncols()];
+        let results = lsqr_panel(a, b, &mut xs, 1, &[0], cfg, ctl);
+        for (i, xi) in xs.into_iter().enumerate() {
+            x[i * ldx + xcols[0]] = xi;
+        }
+        return results;
+    }
+    for bj in b {
+        assert_eq!(bj.len(), a.nrows(), "rhs length must equal operator rows");
+    }
+    cfg.validate();
+    let tel = |pos: usize| ctl.telemetry.get(pos).copied().flatten();
+    for pos in 0..p {
+        if let Some(t) = tel(pos) {
+            t.set_solver("lsqr", cfg.damp);
+        }
+    }
+    let (m, n) = (a.nrows(), a.ncols());
+    for i in 0..n {
+        for &c in xcols {
+            x[i * ldx + c] = 0.0;
+        }
+    }
+    let mut done: Vec<Option<PanelResult>> = vec![None; p];
 
     // the fingerprint (an O(m) CRC of b) is only needed when state may
     // cross a run boundary: resuming, emitting checkpoints, or running
     // under a governor that could interrupt
-    let fingerprint = if ctl.resume.is_some()
+    let keep_state = ctl.resume.is_some()
         || ctl.governor.is_some()
-        || (ctl.checkpoint_every > 0 && ctl.on_checkpoint.is_some())
-    {
-        Some(ProblemFingerprint::new(
-            a.nrows(),
-            n,
-            cfg.damp,
-            cfg.tol,
-            cfg.max_iter,
-            b,
-        ))
-    } else {
-        None
+        || (ctl.checkpoint_every > 0 && ctl.on_checkpoint.is_some());
+    let mut cols = Vec::with_capacity(p);
+    for (pos, bj) in b.iter().enumerate() {
+        // reject a poisoned right-hand side before any work: a NaN here
+        // would otherwise propagate through every recurrence below
+        if !bj.iter().all(|v| v.is_finite()) {
+            done[pos] = Some(Column::default().result(StopReason::Diverged, 0, None));
+            continue;
+        }
+        cols.push(Column {
+            pos,
+            fingerprint: keep_state
+                .then(|| ProblemFingerprint::new(m, n, cfg.damp, cfg.tol, cfg.max_iter, bj)),
+            // stagnation tracking (active only when tol > 0)
+            best_res: f64::INFINITY,
+            ..Column::default()
+        });
+    }
+    let q = cols.len();
+    let mut st = Lockstep {
+        cols,
+        u: vec![0.0; m * q],
+        av: vec![0.0; m * q],
+        v: vec![0.0; n * q],
+        w: vec![0.0; n * q],
+        atu: vec![0.0; n * q],
     };
 
-    let mut u;
-    let mut v;
-    let mut w;
-    let mut alpha;
-    let mut phibar;
-    let mut rhobar;
-    let b_norm;
-    let mut anorm_sq;
-    let mut trace;
-    let mut best_res;
-    let mut no_improve;
-    let start_iter;
+    let start_iter = match ctl.resume {
+        Some(states) => {
+            assert_eq!(states.len(), p, "one resume state per right-hand side");
+            st.load(states, x, ldx, xcols);
+            states.first().map_or(0, |s| s.iteration)
+        }
+        None => {
+            st.start(a, b, cfg.max_iter, &mut done);
+            0
+        }
+    };
 
-    if let Some(ckpt) = ctl.resume {
-        if let Err(e) = ckpt.fingerprint.ensure_matches(
-            fingerprint
-                .as_ref()
-                .expect("fingerprint computed for resume"),
-        ) {
-            panic!("lsqr resume: {e}");
-        }
-        assert_eq!(ckpt.u.len(), a.nrows(), "checkpoint u length");
-        assert_eq!(ckpt.v.len(), n, "checkpoint v length");
-        assert_eq!(ckpt.w.len(), n, "checkpoint w length");
-        assert_eq!(ckpt.x.len(), n, "checkpoint x length");
-        u = ckpt.u.clone();
-        v = ckpt.v.clone();
-        w = ckpt.w.clone();
-        x = ckpt.x.clone();
-        alpha = ckpt.alpha;
-        phibar = ckpt.phibar;
-        rhobar = ckpt.rhobar;
-        anorm_sq = ckpt.anorm_sq;
-        b_norm = ckpt.b_norm;
-        best_res = ckpt.best_res;
-        no_improve = ckpt.no_improve;
-        trace = ckpt.residual_trace.clone();
-        start_iter = ckpt.iteration;
-    } else {
-        // Golub-Kahan bidiagonalization initialization
-        u = b.to_vec();
-        let beta = vector::norm2_robust(&u);
-        if beta == 0.0 {
-            return LsqrResult {
-                x,
-                iterations: 0,
-                residual_norm: 0.0,
-                stop: StopReason::TrivialSolution,
-                residual_trace: vec![],
-                checkpoint: None,
-            };
-        }
-        if !beta.is_finite() {
-            // finite entries but overflowing norm: treat as breakdown
-            return diverged(x, 0, vec![]);
-        }
-        vector::scale(1.0 / beta, &mut u);
-
-        v = a.apply_t(&u);
-        // check the raw operator output so a poisoned matvec surfaces as a
-        // breakdown before the NaN reaches the iteration state
-        // (norm2_robust would also flag it, but this check is earlier and
-        // pinpoints the operator, not the norm)
-        if !v.iter().all(|t| t.is_finite()) {
-            return diverged(x, 0, vec![]);
-        }
-        alpha = vector::norm2_robust(&v);
-        if !alpha.is_finite() {
-            // finite entries but overflowing norm: treat as breakdown
-            return diverged(x, 0, vec![]);
-        }
-        if alpha == 0.0 {
-            // b is orthogonal to the range of A: x = 0 is optimal
-            return LsqrResult {
-                x,
-                iterations: 0,
-                residual_norm: beta,
-                stop: StopReason::TrivialSolution,
-                residual_trace: vec![],
-                checkpoint: None,
-            };
-        }
-        vector::scale(1.0 / alpha, &mut v);
-
-        w = v.clone();
-        phibar = beta;
-        rhobar = alpha;
-        b_norm = beta;
-        // running Frobenius-norm estimate of the damped bidiagonal (Paige &
-        // Saunders' ANORM), for the ‖Aᵀr‖-based stopping rule
-        anorm_sq = alpha * alpha;
-        trace = Vec::with_capacity(cfg.max_iter);
-        // stagnation tracking (active only when tol > 0)
-        best_res = f64::INFINITY;
-        no_improve = 0usize;
-        start_iter = 0;
-    }
-
-    let mut beta;
-    let mut stop = StopReason::MaxIterations;
-    let mut iterations = start_iter;
-    let mut interrupted_ckpt: Option<Box<LsqrCheckpoint>> = None;
-    // product buffers reused across iterations (apply_into avoids one
-    // allocation per matvec — measurable on the k·c small-product regime
-    // of SRDA's response loop)
-    let mut av = vec![0.0; a.nrows()];
-    let mut atu = vec![0.0; n];
-
-    for iter in start_iter..cfg.max_iter {
+    let mut iter = start_iter;
+    while iter < cfg.max_iter && !st.cols.is_empty() {
         // governance first: the state here is exactly the end-of-previous-
         // iteration state, so the snapshot taken on interrupt resumes at
         // `iter` with nothing lost and nothing repeated
-        #[cfg_attr(not(feature = "failpoints"), allow(unused_mut))]
-        let mut interrupt = ctl.governor.and_then(|g| {
-            if let Some(t) = ctl.telemetry {
-                t.governor_check();
+        let mut interrupt = None;
+        for col in &st.cols {
+            if let Some(g) = ctl.governor {
+                if let Some(t) = tel(col.pos) {
+                    t.governor_check();
+                }
+                interrupt = g.tick();
             }
-            g.tick()
-        });
-        #[cfg(feature = "failpoints")]
-        if interrupt.is_none() && srda_linalg::failpoint::should_fail("lsqr.interrupt") {
-            // deterministic kill switch for resume tests: behaves exactly
-            // like an external cancellation landing at this boundary
-            interrupt = Some(Interrupt::Cancelled);
+            #[cfg(feature = "failpoints")]
+            if interrupt.is_none() && srda_linalg::failpoint::should_fail("lsqr.interrupt") {
+                // deterministic kill switch for resume tests: behaves
+                // exactly like an external cancellation landing here
+                interrupt = Some(Interrupt::Cancelled);
+            }
+            if interrupt.is_some() {
+                break;
+            }
         }
         if let Some(reason) = interrupt {
-            stop = StopReason::Interrupted(reason);
-            iterations = iter;
-            if let Some(fp) = fingerprint {
-                interrupted_ckpt = Some(Box::new(snapshot(
-                    fp, iter, &x, &w, &u, &v, alpha, phibar, rhobar, anorm_sq, b_norm, best_res,
-                    no_improve, &trace,
-                )));
+            for jj in 0..st.cols.len() {
+                let state = st.cols[jj]
+                    .fingerprint
+                    .map(|fp| Box::new(st.snapshot(jj, fp, iter, x, ldx, xcols)));
+                let col = &st.cols[jj];
+                done[col.pos] = Some(col.result(StopReason::Interrupted(reason), iter, state));
             }
+            st.cols.clear();
             break;
         }
         #[cfg(feature = "failpoints")]
-        if srda_linalg::failpoint::should_fail("lsqr.breakdown") {
+        {
             // simulate a non-finite operator product surfacing here
-            stop = StopReason::Diverged;
-            iterations = iter;
-            break;
+            let ends: Vec<_> = st
+                .cols
+                .iter()
+                .map(|_| {
+                    srda_linalg::failpoint::should_fail("lsqr.breakdown")
+                        .then_some((StopReason::Diverged, iter))
+                })
+                .collect();
+            st.retire(&ends, &mut done);
         }
-        iterations = iter + 1;
+        for col in &mut st.cols {
+            col.iterations = iter + 1;
+        }
+        let diverged = Some((StopReason::Diverged, iter));
 
-        // continue the bidiagonalization: β·u = A·v − α·u
-        a.apply_into(&v, &mut av);
-        if !av.iter().all(|t| t.is_finite()) {
-            // a bad matvec (NaN/∞ from the operator) — stop before the
-            // poison reaches x. Checked on the raw product so the
-            // breakdown is attributed to the operator; norm2_robust below
-            // is the backstop for overflow in the recombination.
-            stop = StopReason::Diverged;
-            iterations = iter;
+        // continue the bidiagonalization: β·u = A·v − α·u. A bad product
+        // (NaN/∞ from the operator) stops its column before the poison
+        // reaches x; it is checked on the raw product so the breakdown is
+        // attributed to the operator, and norm2_robust is the backstop
+        // for overflow in the recombination.
+        if !st.cols.is_empty() {
+            a.apply_block_into(&st.v, st.cols.len(), &mut st.av);
+        }
+        st.retire(&non_finite_cols(&st.av, st.cols.len(), iter), &mut done);
+        let q = st.cols.len();
+        if q == 0 {
             break;
         }
-        for (ui, avi) in u.iter_mut().zip(&av) {
-            *ui = avi - alpha * *ui;
+        let alphas: Vec<f64> = st.cols.iter().map(|c| c.alpha).collect();
+        sub_scaled_cols(&mut st.u, &st.av, &alphas);
+        let betas = vector::col_norms2_robust(&st.u, q, &vec![true; q]);
+        let ends: Vec<_> = betas
+            .iter()
+            .map(|b| if b.is_finite() { None } else { diverged })
+            .collect();
+        for (col, &beta) in st.cols.iter_mut().zip(&betas) {
+            col.beta = beta;
         }
-        beta = vector::norm2_robust(&u);
-        if !beta.is_finite() {
-            // finite entries but overflowing norm: treat as breakdown
-            stop = StopReason::Diverged;
-            iterations = iter;
+        st.retire(&ends, &mut done);
+        let q = st.cols.len();
+        if q == 0 {
             break;
         }
-        if beta > 0.0 {
-            vector::scale(1.0 / beta, &mut u);
-        }
+        normalize_cols(
+            &mut st.u,
+            &st.cols.iter().map(|c| c.beta).collect::<Vec<_>>(),
+        );
+
         // α·v = Aᵀ·u − β·v
-        a.apply_t_into(&u, &mut atu);
-        if !atu.iter().all(|t| t.is_finite()) {
-            stop = StopReason::Diverged;
-            iterations = iter;
+        a.apply_t_block_into(&st.u, q, &mut st.atu);
+        st.retire(&non_finite_cols(&st.atu, q, iter), &mut done);
+        let q = st.cols.len();
+        if q == 0 {
             break;
         }
-        for (vi, atui) in v.iter_mut().zip(&atu) {
-            *vi = atui - beta * *vi;
+        let betas: Vec<f64> = st.cols.iter().map(|c| c.beta).collect();
+        sub_scaled_cols(&mut st.v, &st.atu, &betas);
+        let alphas = vector::col_norms2_robust(&st.v, q, &vec![true; q]);
+        let ends: Vec<_> = alphas
+            .iter()
+            .map(|a| if a.is_finite() { None } else { diverged })
+            .collect();
+        for (col, &alpha) in st.cols.iter_mut().zip(&alphas) {
+            col.alpha = alpha;
         }
-        alpha = vector::norm2_robust(&v);
-        if !alpha.is_finite() {
-            stop = StopReason::Diverged;
-            iterations = iter;
+        st.retire(&ends, &mut done);
+        if st.cols.is_empty() {
             break;
         }
-        if alpha > 0.0 {
-            vector::scale(1.0 / alpha, &mut v);
+        normalize_cols(
+            &mut st.v,
+            &st.cols.iter().map(|c| c.alpha).collect::<Vec<_>>(),
+        );
+
+        let ends: Vec<_> = st
+            .cols
+            .iter_mut()
+            .map(|c| c.rotate(cfg.damp, iter))
+            .collect();
+        st.retire(&ends, &mut done);
+        let q = st.cols.len();
+        if q == 0 {
+            break;
         }
 
+        // update x and the search direction w; a lone column with a
+        // contiguous iterate runs as a flat loop
+        let xc: Vec<usize> = st.cols.iter().map(|c| xcols[c.pos]).collect();
+        if let ([col], 1) = (st.cols.as_slice(), ldx) {
+            let xs = &mut x[xc[0]..xc[0] + n];
+            for ((xi, wi), vi) in xs.iter_mut().zip(&mut st.w).zip(&st.v) {
+                *xi += col.t1 * *wi;
+                *wi = vi + col.t2 * *wi;
+            }
+        } else {
+            for (i, (wrow, vrow)) in
+                st.w.chunks_exact_mut(q)
+                    .zip(st.v.chunks_exact(q))
+                    .enumerate()
+            {
+                let xrow = &mut x[i * ldx..];
+                for (jj, col) in st.cols.iter().enumerate() {
+                    let xi = &mut xrow[xc[jj]];
+                    *xi += col.t1 * wrow[jj];
+                    wrow[jj] = vrow[jj] + col.t2 * wrow[jj];
+                }
+            }
+        }
+
+        let ends: Vec<_> = st
+            .cols
+            .iter_mut()
+            .map(|c| c.check(cfg, iter, tel(c.pos)))
+            .collect();
+        st.retire(&ends, &mut done);
+
+        if st.cols.is_empty() {
+            break;
+        }
+        // periodic checkpoint, after every recurrence of this iteration
+        // has landed — the snapshot resumes at `iter + 1`
+        if ctl.checkpoint_every > 0 && (iter + 1) % ctl.checkpoint_every == 0 {
+            if let Some(cb) = ctl.on_checkpoint {
+                if let Some(state) = st.panel_state(&done, iter + 1, x, ldx, xcols) {
+                    cb(&state);
+                }
+            }
+        }
+        iter += 1;
+    }
+    let ends: Vec<_> = st
+        .cols
+        .iter()
+        .map(|c| Some((StopReason::MaxIterations, c.iterations)))
+        .collect();
+    st.retire(&ends, &mut done);
+
+    let mut results: Vec<PanelResult> = done
+        .into_iter()
+        .map(|r| r.expect("every column ends"))
+        .collect();
+    // belt and braces: whatever path got here, a non-finite x never leaves
+    // this function (the checks above should make this unreachable)
+    for (r, &c) in results.iter_mut().zip(xcols) {
+        if !(0..n).all(|i| x[i * ldx + c].is_finite()) {
+            for i in 0..n {
+                x[i * ldx + c] = 0.0;
+            }
+            r.stop = StopReason::Diverged;
+            r.residual_norm = f64::INFINITY;
+        }
+    }
+    results
+}
+
+/// One running column's Paige–Saunders scalars and bookkeeping.
+#[derive(Default)]
+struct Column {
+    /// Position of the column in the panel.
+    pos: usize,
+    fingerprint: Option<ProblemFingerprint>,
+    alpha: f64,
+    beta: f64,
+    phibar: f64,
+    rhobar: f64,
+    anorm_sq: f64,
+    b_norm: f64,
+    best_res: f64,
+    no_improve: usize,
+    trace: Vec<f64>,
+    iterations: usize,
+    /// This iteration's rotation outputs, read after the block update.
+    psi: f64,
+    c: f64,
+    t1: f64,
+    t2: f64,
+}
+
+impl Column {
+    /// The two plane rotations of one iteration, after `alpha`/`beta` are
+    /// this iteration's. Returns an end when the column must stop before
+    /// its iterate is updated.
+    fn rotate(&mut self, damp: f64, iter: usize) -> Option<(StopReason, usize)> {
         // eliminate the damping term with a first rotation
-        let rhobar1 = rhobar.hypot(cfg.damp);
+        let rhobar1 = self.rhobar.hypot(damp);
         if rhobar1 == 0.0 {
             // total breakdown: the bidiagonalization has terminated and
             // there is no damping — x is already the exact LS solution
-            stop = StopReason::Converged;
-            iterations = iter;
-            break;
+            return Some((StopReason::Converged, iter));
         }
-        let c1 = rhobar / rhobar1;
-        let s1 = cfg.damp / rhobar1;
-        let psi = s1 * phibar;
-        phibar *= c1;
+        let c1 = self.rhobar / rhobar1;
+        let s1 = damp / rhobar1;
+        self.psi = s1 * self.phibar;
+        self.phibar *= c1;
 
         // eliminate the subdiagonal with a second rotation
-        let rho = rhobar1.hypot(beta);
-        let c = rhobar1 / rho;
-        let s = beta / rho;
-        let theta = s * alpha;
-        rhobar = -c * alpha;
-        let phi = c * phibar;
-        phibar *= s;
+        let rho = rhobar1.hypot(self.beta);
+        self.c = rhobar1 / rho;
+        let s = self.beta / rho;
+        let theta = s * self.alpha;
+        self.rhobar = -self.c * self.alpha;
+        let phi = self.c * self.phibar;
+        self.phibar *= s;
 
-        // update x and the search direction w — but never with non-finite
-        // step coefficients (overflowing recurrences surface here)
-        let t1 = phi / rho;
-        let t2 = -theta / rho;
-        if !t1.is_finite() || !t2.is_finite() {
-            stop = StopReason::Diverged;
-            iterations = iter;
-            break;
+        // never update x with non-finite step coefficients (overflowing
+        // recurrences surface here)
+        self.t1 = phi / rho;
+        self.t2 = -theta / rho;
+        if !self.t1.is_finite() || !self.t2.is_finite() {
+            return Some((StopReason::Diverged, iter));
         }
-        for i in 0..n {
-            x[i] += t1 * w[i];
-            w[i] = v[i] + t2 * w[i];
-        }
+        None
+    }
 
+    /// Record the damped residual of the iteration just completed and
+    /// apply the stopping rules.
+    fn check(
+        &mut self,
+        cfg: &LsqrConfig,
+        iter: usize,
+        telemetry: Option<&SolverTrace>,
+    ) -> Option<(StopReason, usize)> {
+        let (alpha, beta, phibar, psi) = (self.alpha, self.beta, self.phibar, self.psi);
+        let converged = Some((StopReason::Converged, iter + 1));
         // ‖[r; damp·x]‖ ≈ √(φ̄² + ψ²) accumulated; the ψ terms are
         // orthogonal between iterations, so track their running square sum.
         // The squares overflow once φ̄ nears √f64::MAX; only then is the
@@ -514,93 +671,393 @@ pub fn lsqr_controlled<A: LinearOperator + ?Sized>(
         if damped_res == f64::INFINITY {
             damped_res = phibar.hypot(psi);
         }
-        trace.push(damped_res);
-        if let Some(t) = ctl.telemetry {
+        self.trace.push(damped_res);
+        if let Some(t) = telemetry {
             // pure reads of already-computed state; `alpha * (c * phibar).abs()`
             // is exactly the `arnorm` the second stopping rule derives below,
             // so recording cannot perturb the float sequence
-            t.iteration(iter + 1, damped_res, alpha * (c * phibar).abs());
+            t.iteration(iter + 1, damped_res, alpha * (self.c * phibar).abs());
         }
 
         // phibar carries a sign (the rotations propagate the sign of
         // rhobar); only its magnitude estimates the residual norm.
-        if cfg.tol > 0.0 && phibar.abs() <= cfg.tol * b_norm {
-            stop = StopReason::Converged;
-            break;
+        if cfg.tol > 0.0 && phibar.abs() <= cfg.tol * self.b_norm {
+            return converged;
         }
         // second Paige-Saunders rule, decisive for inconsistent systems:
         // ‖Aᵀr̄‖ = α·|c·φ̄| must vanish at the LS solution even though the
         // residual itself does not
-        anorm_sq += alpha * alpha + beta * beta + cfg.damp * cfg.damp;
-        let arnorm = alpha * (c * phibar).abs();
-        if cfg.tol > 0.0 && arnorm <= cfg.tol * anorm_sq.sqrt() * damped_res.max(f64::MIN_POSITIVE)
+        self.anorm_sq += alpha * alpha + beta * beta + cfg.damp * cfg.damp;
+        let arnorm = alpha * (self.c * phibar).abs();
+        if cfg.tol > 0.0
+            && arnorm <= cfg.tol * self.anorm_sq.sqrt() * damped_res.max(f64::MIN_POSITIVE)
         {
-            stop = StopReason::Converged;
-            break;
+            return converged;
         }
         if alpha == 0.0 || beta == 0.0 {
             // bidiagonalization breakdown: the Krylov space is exhausted,
             // so the current x is the exact (damped) LS solution
-            stop = StopReason::Converged;
-            break;
+            return converged;
         }
         // stagnation: the residual floor has been reached but neither
         // tolerance rule fires (e.g. tol below the attainable accuracy);
         // cut the run instead of burning matvecs to no effect
         if cfg.tol > 0.0 {
-            if damped_res < best_res * (1.0 - STAGNATION_RTOL) {
-                best_res = damped_res;
-                no_improve = 0;
+            if damped_res < self.best_res * (1.0 - STAGNATION_RTOL) {
+                self.best_res = damped_res;
+                self.no_improve = 0;
             } else {
-                no_improve += 1;
-                if no_improve >= STAGNATION_WINDOW {
-                    stop = StopReason::Stagnated;
-                    break;
+                self.no_improve += 1;
+                if self.no_improve >= STAGNATION_WINDOW {
+                    return Some((StopReason::Stagnated, iter + 1));
                 }
             }
         }
-        // periodic checkpoint, after every recurrence of this iteration
-        // has landed — the snapshot resumes at `iter + 1`
-        if ctl.checkpoint_every > 0 && (iter + 1) % ctl.checkpoint_every == 0 {
-            if let (Some(fp), Some(cb)) = (fingerprint, ctl.on_checkpoint) {
-                cb(&snapshot(
-                    fp,
-                    iter + 1,
-                    &x,
-                    &w,
-                    &u,
-                    &v,
-                    alpha,
-                    phibar,
-                    rhobar,
-                    anorm_sq,
-                    b_norm,
-                    best_res,
-                    no_improve,
-                    &trace,
-                ));
+        None
+    }
+
+    /// The column's outcome when it stops with `stop` after `iterations`.
+    fn result(
+        &self,
+        stop: StopReason,
+        iterations: usize,
+        checkpoint: Option<Box<LsqrCheckpoint>>,
+    ) -> PanelResult {
+        PanelResult {
+            iterations,
+            residual_norm: if stop == StopReason::Diverged {
+                f64::INFINITY
+            } else {
+                *self.trace.last().unwrap_or(&self.phibar.abs())
+            },
+            stop,
+            residual_trace: self.trace.clone(),
+            checkpoint,
+        }
+    }
+}
+
+/// The lockstep state of a panel's running columns: the Golub–Kahan
+/// vectors as row-major blocks with one column per entry of `cols`.
+struct Lockstep {
+    cols: Vec<Column>,
+    /// `u` and the product `A·v`, `m × q`.
+    u: Vec<f64>,
+    av: Vec<f64>,
+    /// `v`, the search directions `w` and the product `Aᵀ·u`, `n × q`.
+    v: Vec<f64>,
+    w: Vec<f64>,
+    atu: Vec<f64>,
+}
+
+impl Lockstep {
+    /// Golub–Kahan initialization of every column from its right-hand
+    /// side; columns for which `x = 0` is already the answer, or whose
+    /// start breaks down, end here.
+    fn start<A: LinearOperator + ?Sized>(
+        &mut self,
+        a: &A,
+        b: &[&[f64]],
+        max_iter: usize,
+        done: &mut [Option<PanelResult>],
+    ) {
+        let q = self.cols.len();
+        if q == 0 {
+            return;
+        }
+        for (i, urow) in self.u.chunks_exact_mut(q).enumerate() {
+            for (ui, col) in urow.iter_mut().zip(&self.cols) {
+                *ui = b[col.pos][i];
+            }
+        }
+        let betas = vector::col_norms2_robust(&self.u, q, &vec![true; q]);
+        let mut ends = Vec::with_capacity(q);
+        for (col, &beta) in self.cols.iter_mut().zip(&betas) {
+            // phibar = beta is also the residual of x = 0
+            col.phibar = beta;
+            ends.push(if beta == 0.0 {
+                Some((StopReason::TrivialSolution, 0))
+            } else if !beta.is_finite() {
+                // finite entries but overflowing norm: treat as breakdown
+                Some((StopReason::Diverged, 0))
+            } else {
+                None
+            });
+        }
+        self.retire(&ends, done);
+        let q = self.cols.len();
+        if q == 0 {
+            return;
+        }
+        normalize_cols(
+            &mut self.u,
+            &self.cols.iter().map(|c| c.phibar).collect::<Vec<_>>(),
+        );
+
+        a.apply_t_block_into(&self.u, q, &mut self.v);
+        // check the raw operator output so a poisoned product surfaces as
+        // a breakdown before the NaN reaches the iteration state
+        self.retire(&non_finite_cols(&self.v, q, 0), done);
+        let q = self.cols.len();
+        if q == 0 {
+            return;
+        }
+        let alphas = vector::col_norms2_robust(&self.v, q, &vec![true; q]);
+        let mut ends = Vec::with_capacity(q);
+        for (col, &alpha) in self.cols.iter_mut().zip(&alphas) {
+            col.alpha = alpha;
+            ends.push(if !alpha.is_finite() {
+                Some((StopReason::Diverged, 0))
+            } else if alpha == 0.0 {
+                // b is orthogonal to the range of A: x = 0 is optimal
+                Some((StopReason::TrivialSolution, 0))
+            } else {
+                None
+            });
+        }
+        self.retire(&ends, done);
+        if self.cols.is_empty() {
+            return;
+        }
+        normalize_cols(
+            &mut self.v,
+            &self.cols.iter().map(|c| c.alpha).collect::<Vec<_>>(),
+        );
+        self.w.clone_from(&self.v);
+        for col in &mut self.cols {
+            col.rhobar = col.alpha;
+            col.b_norm = col.phibar;
+            // running Frobenius-norm estimate of the damped bidiagonal
+            // (Paige & Saunders' ANORM), for the ‖Aᵀr‖-based stopping rule
+            col.anorm_sq = col.alpha * col.alpha;
+            col.trace = Vec::with_capacity(max_iter);
+        }
+    }
+
+    /// Load every running column's state from its checkpoint.
+    fn load(&mut self, states: &[LsqrCheckpoint], x: &mut [f64], ldx: usize, xcols: &[usize]) {
+        let q = self.cols.len();
+        let (m, n) = (self.u.len() / q.max(1), self.v.len() / q.max(1));
+        let iteration = states.first().map_or(0, |s| s.iteration);
+        for (jj, col) in self.cols.iter_mut().enumerate() {
+            let ckpt = &states[col.pos];
+            if let Err(e) = ckpt.fingerprint.ensure_matches(
+                col.fingerprint
+                    .as_ref()
+                    .expect("fingerprint computed for resume"),
+            ) {
+                panic!("lsqr resume: {e}");
+            }
+            assert_eq!(ckpt.u.len(), m, "checkpoint u length");
+            assert_eq!(ckpt.v.len(), n, "checkpoint v length");
+            assert_eq!(ckpt.w.len(), n, "checkpoint w length");
+            assert_eq!(ckpt.x.len(), n, "checkpoint x length");
+            assert_eq!(
+                ckpt.iteration, iteration,
+                "panel states share one iteration"
+            );
+            scatter(&mut self.u, q, jj, &ckpt.u);
+            scatter(&mut self.v, q, jj, &ckpt.v);
+            scatter(&mut self.w, q, jj, &ckpt.w);
+            for (i, &xi) in ckpt.x.iter().enumerate() {
+                x[i * ldx + xcols[col.pos]] = xi;
+            }
+            col.alpha = ckpt.alpha;
+            col.phibar = ckpt.phibar;
+            col.rhobar = ckpt.rhobar;
+            col.anorm_sq = ckpt.anorm_sq;
+            col.b_norm = ckpt.b_norm;
+            col.best_res = ckpt.best_res;
+            col.no_improve = ckpt.no_improve;
+            col.trace = ckpt.residual_trace.clone();
+            col.iterations = ckpt.iteration;
+        }
+    }
+
+    /// Move the columns with an end out of the lockstep state and into
+    /// `done`, compacting the blocks onto the columns still running.
+    fn retire(&mut self, ends: &[Option<(StopReason, usize)>], done: &mut [Option<PanelResult>]) {
+        if ends.iter().all(Option::is_none) {
+            return;
+        }
+        let q = self.cols.len();
+        let keep: Vec<bool> = ends.iter().map(Option::is_none).collect();
+        for block in [
+            &mut self.u,
+            &mut self.av,
+            &mut self.v,
+            &mut self.w,
+            &mut self.atu,
+        ] {
+            compact(block, q, &keep);
+        }
+        for (col, end) in std::mem::take(&mut self.cols).into_iter().zip(ends) {
+            match end {
+                None => self.cols.push(col),
+                Some((stop, iterations)) => {
+                    done[col.pos] = Some(col.result(*stop, *iterations, None))
+                }
             }
         }
     }
 
-    // belt and braces: whatever path got here, a non-finite x never leaves
-    // this function (the checks above should make this unreachable)
-    if !x.iter().all(|v| v.is_finite()) {
-        x = vec![0.0; n];
-        stop = StopReason::Diverged;
+    /// Capture running column `jj`'s end-of-iteration state as a
+    /// resumable checkpoint. Every field the next iteration reads is here;
+    /// `beta` is not, because each iteration recomputes it from scratch
+    /// before first use.
+    fn snapshot(
+        &self,
+        jj: usize,
+        fingerprint: ProblemFingerprint,
+        iteration: usize,
+        x: &[f64],
+        ldx: usize,
+        xcols: &[usize],
+    ) -> LsqrCheckpoint {
+        let q = self.cols.len();
+        let col = &self.cols[jj];
+        LsqrCheckpoint {
+            fingerprint,
+            iteration,
+            x: gather(x, ldx, xcols[col.pos], self.v.len() / q),
+            w: gather(&self.w, q, jj, self.w.len() / q),
+            u: gather(&self.u, q, jj, self.u.len() / q),
+            v: gather(&self.v, q, jj, self.v.len() / q),
+            alpha: col.alpha,
+            phibar: col.phibar,
+            rhobar: col.rhobar,
+            anorm_sq: col.anorm_sq,
+            b_norm: col.b_norm,
+            best_res: col.best_res,
+            no_improve: col.no_improve,
+            residual_trace: col.trace.clone(),
+        }
     }
-    LsqrResult {
-        residual_norm: if stop == StopReason::Diverged {
-            f64::INFINITY
-        } else {
-            *trace.last().unwrap_or(&phibar.abs())
-        },
-        x,
-        iterations,
-        stop,
-        residual_trace: trace,
-        checkpoint: interrupted_ckpt,
+
+    /// The whole panel's resumable state after `iteration` iterations,
+    /// or `None` if no running column carries a fingerprint.
+    fn panel_state(
+        &self,
+        done: &[Option<PanelResult>],
+        iteration: usize,
+        x: &[f64],
+        ldx: usize,
+        xcols: &[usize],
+    ) -> Option<Vec<PanelColumn>> {
+        let n = self.v.len() / self.cols.len().max(1);
+        let mut running = self.cols.iter().enumerate().peekable();
+        let mut state = Vec::with_capacity(done.len());
+        for (pos, r) in done.iter().enumerate() {
+            state.push(match r {
+                Some(r) => PanelColumn::Done(CompletedResponse {
+                    x: gather(x, ldx, xcols[pos], n),
+                    iterations: r.iterations,
+                    stop: r.stop,
+                    residual_norm: r.residual_norm,
+                }),
+                None => {
+                    let (jj, col) = running.next().expect("a column is done or running");
+                    PanelColumn::Running(self.snapshot(
+                        jj,
+                        col.fingerprint?,
+                        iteration,
+                        x,
+                        ldx,
+                        xcols,
+                    ))
+                }
+            });
+        }
+        Some(state)
     }
+}
+
+/// Column `j` of the row-major block `a` with row stride `ld`.
+fn gather(a: &[f64], ld: usize, j: usize, rows: usize) -> Vec<f64> {
+    (0..rows).map(|i| a[i * ld + j]).collect()
+}
+
+/// Write `col` into column `j` of the row-major block `a` (`q` columns).
+fn scatter(a: &mut [f64], q: usize, j: usize, col: &[f64]) {
+    for (row, &c) in a.chunks_exact_mut(q).zip(col) {
+        row[j] = c;
+    }
+}
+
+/// A `Diverged` end after `iterations` for each column of the row-major
+/// block `a` (`q` columns) holding a non-finite entry.
+fn non_finite_cols(a: &[f64], q: usize, iterations: usize) -> Vec<Option<(StopReason, usize)>> {
+    let mut ok = vec![true; q];
+    if q == 1 {
+        ok[0] = a.iter().all(|v| v.is_finite());
+    } else if q > 1 {
+        for row in a.chunks_exact(q) {
+            for (f, v) in ok.iter_mut().zip(row) {
+                *f &= v.is_finite();
+            }
+        }
+    }
+    ok.into_iter()
+        .map(|ok| (!ok).then_some((StopReason::Diverged, iterations)))
+        .collect()
+}
+
+/// Divide each column of the row-major block `a` by its (finite) norm,
+/// leaving zero-norm columns alone: per column, exactly what
+/// `vector::scale(1.0 / norm, column)` computes and counts.
+fn normalize_cols(a: &mut [f64], norms: &[f64]) {
+    if let &[norm] = norms {
+        if norm > 0.0 {
+            vector::scale(1.0 / norm, a);
+        }
+        return;
+    }
+    let q = norms.len();
+    let inv: Vec<f64> = norms
+        .iter()
+        .map(|&s| if s > 0.0 { 1.0 / s } else { 1.0 })
+        .collect();
+    let scaled = norms.iter().filter(|&&s| s > 0.0).count();
+    srda_linalg::flam::add((a.len() / q * scaled) as u64);
+    for row in a.chunks_exact_mut(q) {
+        for (v, s) in row.iter_mut().zip(&inv) {
+            *v *= s;
+        }
+    }
+}
+
+/// `a ← b − c·a` over row-major blocks with one coefficient per column
+/// (`c.len()` columns): per column, the update single-vector LSQR makes.
+/// A lone column runs as a flat loop.
+fn sub_scaled_cols(a: &mut [f64], b: &[f64], c: &[f64]) {
+    if let &[c] = c {
+        for (ai, bi) in a.iter_mut().zip(b) {
+            *ai = bi - c * *ai;
+        }
+        return;
+    }
+    let q = c.len();
+    for (ar, br) in a.chunks_exact_mut(q).zip(b.chunks_exact(q)) {
+        for ((ai, bi), ci) in ar.iter_mut().zip(br).zip(c) {
+            *ai = bi - ci * *ai;
+        }
+    }
+}
+
+/// Keep, in place, the columns of the row-major block `a` (`q` columns)
+/// whose `keep` flag is set.
+fn compact(a: &mut Vec<f64>, q: usize, keep: &[bool]) {
+    let rows = a.len() / q;
+    let mut dst = 0;
+    for i in 0..rows {
+        for (j, &k) in keep.iter().enumerate() {
+            if k {
+                a[dst] = a[i * q + j];
+                dst += 1;
+            }
+        }
+    }
+    a.truncate(dst);
 }
 
 /// Internal operator `[A; damp·I]` used by the warm-start path: stacking

@@ -31,6 +31,59 @@ pub trait LinearOperator {
     fn apply_t_into(&self, x: &[f64], y: &mut [f64]) {
         y.copy_from_slice(&self.apply_t(x));
     }
+    /// `Y = A·X` for a row-major `ncols() × p` block `X`, into the
+    /// row-major `nrows() × p` block `Y`.
+    ///
+    /// Each column of `Y` must be bitwise [`LinearOperator::apply_into`]
+    /// of the matching column of `X`: lockstep LSQR
+    /// ([`crate::lsqr::lsqr_panel`]) relies on it to keep every column's
+    /// trajectory that of a single-vector solve. The default makes one
+    /// `apply_into` per column (directly, with no gather, when `p = 1`);
+    /// operators that stream their data override it to make one pass.
+    fn apply_block_into(&self, x: &[f64], p: usize, y: &mut [f64]) {
+        if p == 1 {
+            return self.apply_into(x, y);
+        }
+        per_column(x, p, y, |xc, yc| self.apply_into(xc, yc));
+    }
+    /// `Y = Aᵀ·X` for a row-major `nrows() × p` block `X`, into the
+    /// row-major `ncols() × p` block `Y`; the column contract of
+    /// [`LinearOperator::apply_block_into`] holds for
+    /// [`LinearOperator::apply_t_into`].
+    fn apply_t_block_into(&self, x: &[f64], p: usize, y: &mut [f64]) {
+        if p == 1 {
+            return self.apply_t_into(x, y);
+        }
+        per_column(x, p, y, |xc, yc| self.apply_t_into(xc, yc));
+    }
+    /// Whether a block product is one pass over the data whatever its
+    /// width — `true` only where the block products are native, as for
+    /// [`srda_sparse::DiskCsr`]. Lockstep fits solve their responses in
+    /// panels only through such operators; with the per-column defaults a
+    /// panel would share nothing and only add the gathers and scatters.
+    fn shares_block_passes(&self) -> bool {
+        false
+    }
+}
+
+/// Apply the single-vector product `f` to each column of the row-major
+/// block `x` (`p` columns), scattering each result into the matching
+/// column of `y`.
+fn per_column(x: &[f64], p: usize, y: &mut [f64], mut f: impl FnMut(&[f64], &mut [f64])) {
+    if p == 0 {
+        return;
+    }
+    let mut xc = vec![0.0; x.len() / p];
+    let mut yc = vec![0.0; y.len() / p];
+    for j in 0..p {
+        for (xi, row) in xc.iter_mut().zip(x.chunks_exact(p)) {
+            *xi = row[j];
+        }
+        f(&xc, &mut yc);
+        for (row, yi) in y.chunks_exact_mut(p).zip(&yc) {
+            row[j] = *yi;
+        }
+    }
 }
 
 impl LinearOperator for Mat {
@@ -160,8 +213,9 @@ impl LinearOperator for ExecCsr<'_> {
 }
 
 /// Out-of-core operator: the paper's "reasonable disk I/O" mode. Each
-/// product is one sequential scan of the on-disk non-zeros; only the row
-/// pointers stay resident.
+/// product — a block product included, whatever its width — is one
+/// sequential scan of the on-disk non-zeros; only the row pointers stay
+/// resident.
 ///
 /// An operator has no error channel, so a mid-solve disk failure is
 /// signalled by returning an all-NaN product. [`crate::lsqr`] rejects
@@ -183,6 +237,25 @@ impl LinearOperator for srda_sparse::DiskCsr {
     fn apply_t(&self, x: &[f64]) -> Vec<f64> {
         self.matvec_t(x)
             .unwrap_or_else(|_| vec![f64::NAN; srda_sparse::DiskCsr::ncols(self)])
+    }
+    fn apply_into(&self, x: &[f64], y: &mut [f64]) {
+        self.apply_block_into(x, 1, y);
+    }
+    fn apply_t_into(&self, x: &[f64], y: &mut [f64]) {
+        self.apply_t_block_into(x, 1, y);
+    }
+    fn apply_block_into(&self, x: &[f64], p: usize, y: &mut [f64]) {
+        if self.matmul_into(x, p, y).is_err() {
+            y.fill(f64::NAN);
+        }
+    }
+    fn apply_t_block_into(&self, x: &[f64], p: usize, y: &mut [f64]) {
+        if self.matmul_t_into(x, p, y).is_err() {
+            y.fill(f64::NAN);
+        }
+    }
+    fn shares_block_passes(&self) -> bool {
+        true
     }
 }
 
@@ -244,6 +317,42 @@ impl<A: LinearOperator + ?Sized> LinearOperator for AugmentedOp<'_, A> {
         let (head, bias) = y.split_at_mut(self.inner.ncols());
         self.inner.apply_t_into(x, head);
         bias[0] = x.iter().sum();
+    }
+    fn apply_block_into(&self, x: &[f64], p: usize, y: &mut [f64]) {
+        if p == 1 {
+            return self.apply_into(x, y);
+        }
+        debug_assert_eq!(x.len(), self.ncols() * p);
+        // the bias coefficients are the block's last row
+        let (head, bias) = x.split_at(self.inner.ncols() * p);
+        self.inner.apply_block_into(head, p, y);
+        for row in y.chunks_exact_mut(p.max(1)) {
+            for (yi, &b) in row.iter_mut().zip(bias) {
+                if b != 0.0 {
+                    *yi += b;
+                }
+            }
+        }
+    }
+    fn apply_t_block_into(&self, x: &[f64], p: usize, y: &mut [f64]) {
+        if p == 1 {
+            return self.apply_t_into(x, y);
+        }
+        debug_assert_eq!(x.len(), self.nrows() * p);
+        debug_assert_eq!(y.len(), self.ncols() * p);
+        let (head, bias) = y.split_at_mut(self.inner.ncols() * p);
+        self.inner.apply_t_block_into(x, p, head);
+        // -0.0 is the identity `Iterator::sum` folds from, so each column
+        // sums bitwise like `apply_t_into`'s `x.iter().sum()`
+        bias.fill(-0.0);
+        for row in x.chunks_exact(p.max(1)) {
+            for (s, xi) in bias.iter_mut().zip(row) {
+                *s += xi;
+            }
+        }
+    }
+    fn shares_block_passes(&self) -> bool {
+        self.inner.shares_block_passes()
     }
 }
 
@@ -419,6 +528,66 @@ mod tests {
         check(&aug, "augmented");
         check(&exec_d, "exec-dense");
         check(&exec_s, "exec-sparse");
+    }
+
+    #[test]
+    fn block_products_match_per_column_products_for_all_operators() {
+        let a = dense();
+        let mu = srda_linalg::stats::col_means(&a);
+        let s = srda_sparse::CsrMatrix::from_dense(&a, 0.0);
+        let centered = CenteredOp::new(&a, mu);
+        let aug = AugmentedOp::new(&s);
+        let path = std::env::temp_dir().join(format!("srda-op-block-{}.bin", std::process::id()));
+        srda_sparse::disk::write_csr(&path, &s).unwrap();
+        let disk = srda_sparse::DiskCsr::open(&path).unwrap();
+        let aug_disk = AugmentedOp::new(&disk);
+
+        fn check(op: &dyn LinearOperator, label: &str) {
+            for p in [1usize, 2, 3] {
+                let x: Vec<f64> = (0..op.ncols() * p)
+                    .map(|i| (i as f64 * 0.7).sin())
+                    .collect();
+                // a zero bias row in one column exercises the b = 0 shortcut
+                let u: Vec<f64> = (0..op.nrows() * p)
+                    .map(|i| if i % p == 1 { 0.0 } else { 1.5 - i as f64 })
+                    .collect();
+                let mut y = vec![f64::NAN; op.nrows() * p];
+                let mut yt = vec![f64::NAN; op.ncols() * p];
+                op.apply_block_into(&x, p, &mut y);
+                op.apply_t_block_into(&u, p, &mut yt);
+                for j in 0..p {
+                    let col =
+                        |v: &[f64]| -> Vec<f64> { v.iter().skip(j).step_by(p).copied().collect() };
+                    let mut want = vec![f64::NAN; op.nrows()];
+                    op.apply_into(&col(&x), &mut want);
+                    let mut want_t = vec![f64::NAN; op.ncols()];
+                    op.apply_t_into(&col(&u), &mut want_t);
+                    let bits = |v: Vec<f64>| v.iter().map(|t| t.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(col(&y)),
+                        bits(want),
+                        "{label} A·X, p = {p}, column {j}"
+                    );
+                    assert_eq!(
+                        bits(col(&yt)),
+                        bits(want_t),
+                        "{label} Aᵀ·X, p = {p}, column {j}"
+                    );
+                }
+            }
+        }
+        check(&a, "dense");
+        check(&s, "sparse");
+        check(&centered, "centered");
+        check(&aug, "augmented");
+        check(&disk, "disk");
+        check(&aug_disk, "augmented disk");
+        // only the file shares one pass between the columns of a block
+        assert!(disk.shares_block_passes() && aug_disk.shares_block_passes());
+        assert!(![&a as &dyn LinearOperator, &s, &centered, &aug]
+            .iter()
+            .any(|op| op.shares_block_passes()));
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

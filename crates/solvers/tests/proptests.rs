@@ -170,3 +170,119 @@ fn lsqr_through_sparse_equals_dense() {
         }
     });
 }
+
+/// Lockstep LSQR is, column by column, bitwise the single-vector solve —
+/// iterate, iteration count, stop reason, residual trace and flam — and
+/// the block certificate is bitwise the per-column one. Checked over every
+/// operator kind the fit hands to a panel, with stopping tolerances that
+/// make columns stop at different iterations and a zero right-hand side
+/// that stops at once.
+#[test]
+fn lockstep_panel_matches_per_column_lsqr_bitwise() {
+    use srda_solvers::certificate::{certify_operator, certify_operator_block};
+    use srda_solvers::lsqr::{lsqr_panel, PanelControls};
+    use srda_sparse::{disk, CsrMatrix, DiskCsr};
+
+    let dir = std::env::temp_dir().join(format!("srda-lockstep-props-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    check(CASES, |rng| {
+        let (m, n) = (rng.range(2..12), rng.range(2..12));
+        let k = rng.range(1..12);
+        let a = Mat::from_fn(m, n, |_, _| {
+            if rng.below(3) == 0 {
+                0.0
+            } else {
+                rng.uniform(-3.0, 3.0)
+            }
+        });
+        let mut bs: Vec<Vec<f64>> = (0..k)
+            .map(|_| (0..m).map(|_| rng.uniform(-3.0, 3.0)).collect())
+            .collect();
+        let zero = rng.below(k);
+        bs[zero].fill(0.0);
+        let cfg = LsqrConfig {
+            damp: rng.uniform(0.05, 2.0).sqrt(),
+            max_iter: rng.range(1..30),
+            tol: [0.0, 1e-4, 3e-2, 0.2][rng.below(4)],
+        };
+
+        let csr = CsrMatrix::from_dense(&a, 0.0);
+        let path = dir.join(format!("case-{:016x}.srdacsr", rng.next_u64()));
+        disk::write_csr(&path, &csr).unwrap();
+        let on_disk = DiskCsr::open(&path).unwrap();
+        let mu = srda_linalg::stats::col_means(&a);
+        let centered = CenteredOp::new(&a, mu);
+        let aug_csr = AugmentedOp::new(&csr);
+        let aug_disk = AugmentedOp::new(&on_disk);
+        let ops: [(&str, &dyn LinearOperator); 6] = [
+            ("dense", &a),
+            ("csr", &csr),
+            ("disk", &on_disk),
+            ("centered", &centered),
+            ("augmented csr", &aug_csr),
+            ("augmented disk", &aug_disk),
+        ];
+        for (label, op) in ops {
+            let n_op = op.ncols();
+            let rhs: Vec<&[f64]> = bs.iter().map(Vec::as_slice).collect();
+            let cols: Vec<usize> = (0..k).collect();
+            let mut x = vec![f64::NAN; n_op * k];
+            let (panel, panel_flam) = srda_linalg::flam::measure(|| {
+                lsqr_panel(op, &rhs, &mut x, k, &cols, &cfg, &PanelControls::default())
+            });
+            let (singles, single_flam) = srda_linalg::flam::measure(|| {
+                bs.iter().map(|b| lsqr(op, b, &cfg)).collect::<Vec<_>>()
+            });
+            assert_eq!(panel_flam, single_flam, "{label}: flam");
+            let bits = |v: &[f64]| v.iter().map(|t| t.to_bits()).collect::<Vec<_>>();
+            for (j, (p, s)) in panel.iter().zip(&singles).enumerate() {
+                let xj: Vec<f64> = x.iter().skip(j).step_by(k).copied().collect();
+                assert_eq!(bits(&xj), bits(&s.x), "{label}: column {j} iterate");
+                assert_eq!(p.iterations, s.iterations, "{label}: column {j} iterations");
+                assert_eq!(p.stop, s.stop, "{label}: column {j} stop");
+                assert_eq!(
+                    bits(&p.residual_trace),
+                    bits(&s.residual_trace),
+                    "{label}: column {j} trace"
+                );
+                assert_eq!(
+                    p.residual_norm.to_bits(),
+                    s.residual_norm.to_bits(),
+                    "{label}: column {j} residual"
+                );
+            }
+            assert_eq!(
+                singles[zero].stop,
+                srda_solvers::StopReason::TrivialSolution
+            );
+            // a lone right-hand side written into one column of a wider
+            // output, as a fit's one-response panels are
+            let mut wide = vec![f64::NAN; n_op * (k + 1)];
+            let lone = lsqr_panel(
+                op,
+                &rhs[k - 1..],
+                &mut wide,
+                k + 1,
+                &[k],
+                &cfg,
+                &PanelControls::default(),
+            );
+            let col: Vec<f64> = wide.iter().skip(k).step_by(k + 1).copied().collect();
+            assert_eq!(bits(&col), bits(&singles[k - 1].x), "{label}: lone column");
+            assert_eq!(lone[0].iterations, singles[k - 1].iterations);
+            let b_block: Vec<f64> = (0..m).flat_map(|i| bs.iter().map(move |b| b[i])).collect();
+            let certs = certify_operator_block(op, &b_block, &x, k, cfg.damp);
+            for (j, (c, s)) in certs.iter().zip(&singles).enumerate() {
+                let want = certify_operator(op, &bs[j], &s.x, cfg.damp);
+                assert_eq!(
+                    (c.backward_error.to_bits(), c.cond_estimate.to_bits()),
+                    (want.backward_error.to_bits(), want.cond_estimate.to_bits()),
+                    "{label}: column {j} certificate"
+                );
+                assert_eq!(c.certified, want.certified, "{label}: column {j} verdict");
+            }
+        }
+        std::fs::remove_file(&path).ok();
+    });
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -122,9 +122,16 @@ pub struct DiskCsr {
     nnz: usize,
     indptr: Vec<u64>,
     data_offset: u64,
-    /// Shared reader, re-wound for every product (the products are
-    /// sequential scans, so one buffered handle suffices).
-    reader: Mutex<BufReader<File>>,
+    /// Shared reader and chunk buffer, re-wound for every product (the
+    /// products are sequential scans, so one buffered handle suffices).
+    scanner: Mutex<Scanner>,
+}
+
+/// The file handle and the chunk buffer every scan reads through; both
+/// live as long as the [`DiskCsr`], so a product allocates nothing.
+struct Scanner {
+    reader: BufReader<File>,
+    buf: Vec<u8>,
 }
 
 impl std::fmt::Debug for DiskCsr {
@@ -234,7 +241,7 @@ impl DiskCsr {
             nnz,
             indptr,
             data_offset,
-            reader: Mutex::new(f),
+            scanner: Mutex::new(Scanner { reader: f, buf }),
         })
     }
 
@@ -264,7 +271,7 @@ impl DiskCsr {
     }
 
     /// Stream all non-zeros in row-major order, invoking
-    /// `visit(row, col, value)` — the primitive both products build on.
+    /// `visit(row, col, value)` — the primitive every product builds on.
     fn scan(&self, mut visit: impl FnMut(usize, usize, f64)) -> io::Result<()> {
         #[cfg(feature = "failpoints")]
         if srda_linalg::failpoint::should_fail("diskcsr.read") {
@@ -272,15 +279,17 @@ impl DiskCsr {
                 "injected I/O failure (failpoint diskcsr.read)",
             ));
         }
-        // a panic mid-scan leaves only a file position behind, and every
-        // scan seeks first, so a poisoned lock is still safe to reuse
-        let mut reader = self.reader.lock().unwrap_or_else(|p| p.into_inner());
+        // a panic mid-scan leaves only a file position and stale buffer
+        // bytes behind, and every scan seeks first and overwrites what it
+        // reads, so a poisoned lock is still safe to reuse
+        let mut guard = self.scanner.lock().unwrap_or_else(|p| p.into_inner());
+        let Scanner { reader, buf } = &mut *guard;
         reader.seek(SeekFrom::Start(self.data_offset))?;
         let mut row = 0usize;
         let mut seen_in_row = 0u64;
-        let mut row_len = self.indptr[1] - self.indptr[0];
+        // a 0-row file has a single row pointer and no entries
+        let mut row_len = self.indptr.get(1).map_or(0, |end| end - self.indptr[0]);
         let mut remaining = self.nnz;
-        let mut buf = vec![0u8; CHUNK_ENTRIES * ENTRY_BYTES];
         while remaining > 0 {
             let take = remaining.min(CHUNK_ENTRIES);
             let bytes = take * ENTRY_BYTES;
@@ -304,18 +313,53 @@ impl DiskCsr {
 
     /// `y = A·x`, one sequential pass over the file.
     pub fn matvec(&self, x: &[f64]) -> io::Result<Vec<f64>> {
-        assert_eq!(x.len(), self.cols, "matvec length mismatch");
         let mut y = vec![0.0; self.rows];
-        self.scan(|r, c, v| y[r] += v * x[c])?;
+        self.matmul_into(x, 1, &mut y)?;
         Ok(y)
     }
 
     /// `y = Aᵀ·x`, one sequential pass over the file.
     pub fn matvec_t(&self, x: &[f64]) -> io::Result<Vec<f64>> {
-        assert_eq!(x.len(), self.rows, "matvec_t length mismatch");
         let mut y = vec![0.0; self.cols];
-        self.scan(|r, c, v| y[c] += v * x[r])?;
+        self.matmul_t_into(x, 1, &mut y)?;
         Ok(y)
+    }
+
+    /// `Y = A·X` for a row-major `cols × p` block `X` into the row-major
+    /// `rows × p` block `Y`, in one sequential pass over the file. Each
+    /// column of `Y` is summed in the order [`DiskCsr::matvec`] sums it,
+    /// so it is bitwise the single-vector product of that column.
+    pub fn matmul_into(&self, x: &[f64], p: usize, y: &mut [f64]) -> io::Result<()> {
+        assert_eq!(x.len(), self.cols * p, "matvec length mismatch");
+        assert_eq!(y.len(), self.rows * p, "matvec output length mismatch");
+        y.fill(0.0);
+        if p == 1 {
+            return self.scan(|r, c, v| y[r] += v * x[c]);
+        }
+        self.scan(|r, c, v| {
+            let xr = &x[c * p..(c + 1) * p];
+            for (yi, xi) in y[r * p..(r + 1) * p].iter_mut().zip(xr) {
+                *yi += v * xi;
+            }
+        })
+    }
+
+    /// `Y = Aᵀ·X` for a row-major `rows × p` block `X` into the row-major
+    /// `cols × p` block `Y`, in one sequential pass over the file; each
+    /// column is bitwise [`DiskCsr::matvec_t`] of that column.
+    pub fn matmul_t_into(&self, x: &[f64], p: usize, y: &mut [f64]) -> io::Result<()> {
+        assert_eq!(x.len(), self.rows * p, "matvec_t length mismatch");
+        assert_eq!(y.len(), self.cols * p, "matvec_t output length mismatch");
+        y.fill(0.0);
+        if p == 1 {
+            return self.scan(|r, c, v| y[c] += v * x[r]);
+        }
+        self.scan(|r, c, v| {
+            let xr = &x[r * p..(r + 1) * p];
+            for (yi, xi) in y[c * p..(c + 1) * p].iter_mut().zip(xr) {
+                *yi += v * xi;
+            }
+        })
     }
 
     /// Load the whole matrix back into memory (tests / small files).
@@ -418,6 +462,53 @@ mod tests {
         assert_eq!(disk2.matvec(&[1.0; 3]).unwrap(), vec![0.0; 3]);
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(&path2).ok();
+    }
+
+    #[test]
+    fn products_on_a_zero_row_file() {
+        let path = tmp("zero_rows.bin");
+        write_csr(&path, &CsrMatrix::zeros(0, 4)).unwrap();
+        let disk = DiskCsr::open(&path).unwrap();
+        assert_eq!(disk.matvec(&[1.0; 4]).unwrap(), Vec::<f64>::new());
+        assert_eq!(disk.matvec_t(&[]).unwrap(), vec![0.0; 4]);
+        assert_eq!(disk.to_csr().unwrap(), CsrMatrix::zeros(0, 4));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn block_products_match_per_column_products_bitwise() {
+        let m = sample(31, 19, 4);
+        let path = tmp("block.bin");
+        write_csr(&path, &m).unwrap();
+        let disk = DiskCsr::open(&path).unwrap();
+        let p = 3;
+        let x: Vec<f64> = (0..19 * p).map(|i| (i as f64 * 0.37).sin()).collect();
+        let u: Vec<f64> = (0..31 * p).map(|i| (i as f64 * 0.11).cos()).collect();
+        let mut y = vec![f64::NAN; 31 * p];
+        let mut yt = vec![f64::NAN; 19 * p];
+        disk.matmul_into(&x, p, &mut y).unwrap();
+        disk.matmul_t_into(&u, p, &mut yt).unwrap();
+        for j in 0..p {
+            let xj: Vec<f64> = x.iter().skip(j).step_by(p).copied().collect();
+            let uj: Vec<f64> = u.iter().skip(j).step_by(p).copied().collect();
+            let yj: Vec<u64> = y.iter().skip(j).step_by(p).map(|v| v.to_bits()).collect();
+            let ytj: Vec<u64> = yt.iter().skip(j).step_by(p).map(|v| v.to_bits()).collect();
+            let want: Vec<u64> = disk
+                .matvec(&xj)
+                .unwrap()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect();
+            let want_t: Vec<u64> = disk
+                .matvec_t(&uj)
+                .unwrap()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect();
+            assert_eq!(yj, want, "column {j} of A·X");
+            assert_eq!(ytj, want_t, "column {j} of Aᵀ·X");
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

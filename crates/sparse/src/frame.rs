@@ -1,5 +1,5 @@
 //! CRC-framed records: the one persistence layout shared by the solver
-//! checkpoint (`SRDACKP1`), the fit checkpoint (`SRDAFCK1`) and the CLI
+//! checkpoint (`SRDACKP1`), the fit checkpoint (`SRDAFCK2`) and the CLI
 //! model file (`SRDAMDL1`).
 //!
 //! ## Layout

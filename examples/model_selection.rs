@@ -63,7 +63,6 @@ fn main() {
                     tol: 0.0,
                 },
                 memory_budget_bytes: None,
-                parallel_responses: false,
                 ..SrdaConfig::default()
             }),
             &train.x,

@@ -107,6 +107,29 @@ cmp "$SMOKE_DIR/baseline.srda" "$SMOKE_DIR/resumed.srda" || {
     exit 1
 }
 
+# The 20-class smoke corpus has 19 responses, solved in memory one per
+# panel; a budget of 60 iterations runs out inside the eighth (the first
+# seven spend 7 × 8 = 56), so the checkpoint holds seven finished
+# responses and a panel mid-solve.
+echo "==> kill-and-resume smoke inside a later lockstep panel"
+set +e
+"$SRDA" train --data "$SMOKE_DIR/data.svm" \
+    --model "$SMOKE_DIR/partial2.srda" --solver lsqr --iters 8 \
+    --iter-budget 60 --checkpoint-dir "$SMOKE_DIR/ckpt2"
+rc=$?
+set -e
+if [ "$rc" -ne 3 ]; then
+    echo "expected exit code 3 (interrupted), got $rc" >&2
+    exit 1
+fi
+"$SRDA" resume --data "$SMOKE_DIR/data.svm" \
+    --checkpoint "$SMOKE_DIR/ckpt2/srda-fit.ckpt" \
+    --model "$SMOKE_DIR/resumed2.srda"
+cmp "$SMOKE_DIR/baseline.srda" "$SMOKE_DIR/resumed2.srda" || {
+    echo "model resumed inside a panel diverges from the baseline" >&2
+    exit 1
+}
+
 # Observability smoke: a traced train must emit the srda-obs-v1 report
 # to --metrics-out, cover the fit with solver telemetry, and produce a
 # model byte-identical to the untraced baseline above.

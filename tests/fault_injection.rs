@@ -15,7 +15,7 @@
 //!    returns an error instead of a NaN model.
 //!
 //! Failpoints are thread-local, so every test arms and resets its own
-//! state and stays on one thread (no `parallel_responses`).
+//! state and stays on one thread.
 
 use srda::{RecoveryAction, ResponseSolver, Srda, SrdaConfig, SrdaError, SrdaSolver};
 use srda_linalg::failpoint;

@@ -1,8 +1,9 @@
 //! Persistence round-trips across crates: trained models survive the CLI
 //! model file (`SRDAMDL1`) and sparse matrices survive the out-of-core
 //! `SRDACSR2` file intact and keep producing identical predictions; the
-//! checkpoint formats (`SRDACKP1`, `SRDAFCK1`) keep their exact bytes and
-//! reject every corruption.
+//! checkpoint formats (`SRDACKP1`, `SRDAFCK2`) keep their exact bytes and
+//! reject every corruption, and a version-1 `SRDAFCK1` fit checkpoint is
+//! refused with a typed error.
 
 use srda::{Embedding, Srda, SrdaConfig};
 use srda_cli::model_file::{SavedModel, FORMAT_VERSION, MODEL_MAGIC};
@@ -90,13 +91,13 @@ fn model_persistence_workflow() {
 
 // ---------------------------------------------------------------------------
 // checkpoint corruption: the binary `SRDACKP1` (solver state) and
-// `SRDAFCK1` (fit state) formats are CRC-32 sealed, so *every* single-bit
+// `SRDAFCK2` (fit state) formats are CRC-32 sealed, so *every* single-bit
 // flip anywhere in the file — magic, kind tag, payload, or the CRC
 // trailer itself — must be rejected with a typed error, never parsed
 // into silently-wrong resume state.
 // ---------------------------------------------------------------------------
 
-use srda::{CompletedResponse, FitCheckpoint, FitFingerprint};
+use srda::{CompletedResponse, FitCheckpoint, FitFingerprint, PanelColumn};
 use srda_solvers::{CglsCheckpoint, LsqrCheckpoint, ProblemFingerprint, StopReason};
 
 /// A small but fully-populated LSQR checkpoint (every field non-trivial,
@@ -129,8 +130,17 @@ fn sample_fit_checkpoint() -> FitCheckpoint {
             x: vec![0.25, -0.5, 0.75, 0.125],
             iterations: 9,
             stop: StopReason::Converged,
+            residual_norm: 0.375,
         }],
-        in_flight: Some(sample_lsqr_checkpoint()),
+        panel: vec![
+            PanelColumn::Done(CompletedResponse {
+                x: vec![-1.25, 0.5, 2.0, -0.0],
+                iterations: 4,
+                stop: StopReason::Stagnated,
+                residual_norm: 1.5,
+            }),
+            PanelColumn::Running(sample_lsqr_checkpoint()),
+        ],
         warnings: vec!["response 0: solution near breakdown".to_string()],
     }
 }
@@ -188,7 +198,7 @@ fn cgls_checkpoint_rejects_every_single_bit_flip() {
 fn fit_checkpoint_rejects_every_single_bit_flip() {
     let ckpt = sample_fit_checkpoint();
     let bytes = ckpt.to_bytes();
-    assert_eq!(&bytes[..8], b"SRDAFCK1");
+    assert_eq!(&bytes[..8], b"SRDAFCK2");
     assert_eq!(FitCheckpoint::from_bytes(&bytes).unwrap(), ckpt);
     assert_every_bit_flip_rejected(&bytes, FitCheckpoint::from_bytes);
 }
@@ -214,9 +224,11 @@ fn truncated_checkpoints_are_rejected() {
 }
 
 // ---------------------------------------------------------------------------
-// fixed bytes: both checkpoint formats are on-disk contracts (a checkpoint
+// fixed bytes: the checkpoint formats are on-disk contracts (a checkpoint
 // written by one build must resume in the next), so small fixtures are
-// pinned to the exact bytes the original hand-rolled encoders produced.
+// pinned to their exact bytes: SRDACKP1 to what the original hand-rolled
+// encoders produced, SRDAFCK2 to what its encoder produced when the panel
+// layout replaced SRDAFCK1.
 // ---------------------------------------------------------------------------
 
 fn tiny_lsqr() -> LsqrCheckpoint {
@@ -263,8 +275,9 @@ fn checkpoint_bytes_are_pinned() {
             x: vec![0.75, -2.0],
             iterations: 10,
             stop: StopReason::MaxIterations,
+            residual_norm: 0.5,
         }],
-        in_flight: Some(tiny_lsqr()),
+        panel: vec![PanelColumn::Running(tiny_lsqr())],
         warnings: vec!["w".to_string()],
     };
     let lsqr_bytes = unhex(LSQR_HEX);
@@ -299,6 +312,23 @@ const CGLS_HEX: &str = concat!(
 );
 
 const FIT_HEX: &str = concat!(
+    "5352444146434b32040000000000000001000000000000000200000000000000",
+    "000000000000f03f0a000000000000003a8c30e28e79453ee9158f1f01000000",
+    "000000000200000000000000000000000000e83f00000000000000c00a000000",
+    "0000000002000000000000e03f010000000000000001e1000000000000005352",
+    "4441434b50310102000000000000000200000000000000000000000000e03f3a",
+    "8c30e28e79453e0a000000000000007f0a1b9603000000000000000200000000",
+    "000000000000000000e03f000000000000008001000000000000000000000000",
+    "00f43f0200000000000000000000000000e8bf00000000000000400100000000",
+    "0000000000000000000840000000000000f83f000000000000d0bf0000000000",
+    "0004400000000000001c400000000000000240000000000000c03f0100000000",
+    "0000000200000000000000000000000000f03f000000000000e03f06a9f0b201",
+    "00000000000000010000000000000077e4a19977",
+);
+
+/// An `SRDAFCK1` fit checkpoint (one completed response, one in flight)
+/// as the version-1 encoder wrote it; the panel layout refuses it.
+const FIT_V1_HEX: &str = concat!(
     "5352444146434b31040000000000000001000000000000000200000000000000",
     "000000000000f03f0a000000000000003a8c30e28e79453ee9158f1f01000000",
     "000000000200000000000000000000000000e83f00000000000000c00a000000",
@@ -312,3 +342,12 @@ const FIT_HEX: &str = concat!(
     "00f03f000000000000e03f06a9f0b20100000000000000010000000000000077",
     "027ccac6",
 );
+
+#[test]
+fn version_1_fit_checkpoints_are_rejected_with_a_typed_error() {
+    let err = FitCheckpoint::from_bytes(&unhex(FIT_V1_HEX)).unwrap_err();
+    assert!(
+        matches!(err, srda::CheckpointError::Mismatch(ref m) if m.contains("SRDAFCK1")),
+        "{err}"
+    );
+}
