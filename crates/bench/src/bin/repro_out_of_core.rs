@@ -6,10 +6,11 @@
 //! A 20NG-like corpus is written to disk in the `SRDACSR2` format and SRDA
 //! is trained through [`srda_sparse::DiskCsr`], which keeps only the row
 //! pointers resident. The run reports resident bytes for both modes, the
-//! I/O multiple (the file is scanned twice per LSQR iteration), and the
-//! largest weight difference from the in-memory fit.
+//! file scans the disk fit made (its `lsqr.operator_passes` counter: the
+//! responses run in lockstep panels, so one scan serves a whole panel),
+//! and the largest weight difference from the in-memory fit.
 
-use srda::{Srda, SrdaConfig, SrdaSolver};
+use srda::{Recorder, Srda, SrdaConfig, SrdaSolver};
 use srda_bench::driver::env_scale;
 use std::time::Instant;
 
@@ -47,11 +48,17 @@ fn main() {
         ..SrdaConfig::default()
     };
 
+    // traced, to read the passes over the file off the fit's own counter
+    let recorder = Recorder::new_enabled();
     let t1 = Instant::now();
-    let from_disk = Srda::new(cfg.clone())
-        .fit_operator(&disk, &data.labels)
-        .expect("disk fit");
+    let from_disk = Srda::new(SrdaConfig {
+        recorder,
+        ..cfg.clone()
+    })
+    .fit_operator(&disk, &data.labels)
+    .expect("disk fit");
     let disk_secs = t1.elapsed().as_secs_f64();
+    let scans = recorder.snapshot().counters["lsqr.operator_passes"];
 
     let t2 = Instant::now();
     let in_memory = Srda::new(cfg)
@@ -65,8 +72,6 @@ fn main() {
         .sub(in_memory.embedding().weights())
         .unwrap()
         .max_abs();
-    let iters = from_disk.lsqr_iterations();
-    let scans = 2 * iters; // one forward + one transpose product per iter
     println!("training (LSQR k=15, {} responses):", data.n_classes - 1);
     println!(
         "  from disk : {disk_secs:.2}s  ({scans} sequential file scans ≈ {:.1} GB of I/O)",

@@ -2,15 +2,13 @@
 //!
 //! Every `Srda::fit_*` entry point records how each of the `c − 1`
 //! response problems was actually solved, every recovery action the
-//! fallback chain took (see `srda_solvers::robust`), and any warnings
+//! ridge ladder took (see `srda_solvers::ridge`), and any warnings
 //! raised along the way. The report travels with the returned
 //! [`crate::SrdaModel`] (via `SrdaModel::fit_report`), so a fit that
 //! silently degraded — jittered ridge, LSQR fallback, stagnated
 //! iterations — is always distinguishable from a clean one.
 
-pub use srda_solvers::robust::RecoveryAction;
-use srda_solvers::robust::{RobustSolveReport, SolverUsed};
-pub use srda_solvers::{CertStatus, SolveCertificate};
+pub use srda_solvers::{CertStatus, RecoveryAction, SolveCertificate};
 use srda_solvers::{Interrupt, StopReason};
 
 /// How one response (one column of `Ȳ`) was solved.
@@ -111,26 +109,6 @@ impl FitReport {
             && self.quarantine.as_ref().is_none_or(|q| q.is_noop())
     }
 
-    /// Build a report from a [`RobustSolveReport`], fanning the single
-    /// shared-factorization outcome out to all `k` responses.
-    pub(crate) fn from_robust(rep: &RobustSolveReport, k: usize) -> FitReport {
-        let per_response = match rep.solver {
-            SolverUsed::Direct => ResponseSolver::Direct,
-            SolverUsed::DirectJittered { jitter } => ResponseSolver::DirectJittered { jitter },
-            SolverUsed::LsqrFallback => ResponseSolver::LsqrFallback,
-        };
-        FitReport {
-            warnings: rep.warnings.clone(),
-            recoveries: rep.actions.clone(),
-            responses: vec![per_response; k],
-            condition_estimate: rep.condition_estimate,
-            interrupt: None,
-            quarantine: None,
-            worst_backward_error: srda_solvers::worst_backward_error(&rep.certificates),
-            certificates: rep.certificates.clone(),
-        }
-    }
-
     /// Recompute [`FitReport::worst_backward_error`] from the current
     /// certificate list. Call after appending certificates directly.
     pub(crate) fn refresh_certificate_summary(&mut self) {
@@ -176,49 +154,5 @@ mod tests {
             ..FitReport::default()
         };
         assert!(!dirty.clean());
-    }
-
-    #[test]
-    fn from_robust_fans_out_to_all_responses() {
-        let rep = RobustSolveReport {
-            solver: SolverUsed::DirectJittered { jitter: 0.5 },
-            actions: vec![RecoveryAction::JitterRetry { jitter: 0.5 }],
-            warnings: vec!["direct solve failed".into()],
-            condition_estimate: Some(42.0),
-            form: None,
-            certificates: Vec::new(),
-        };
-        let r = FitReport::from_robust(&rep, 3);
-        assert!(!r.clean());
-        assert_eq!(r.responses.len(), 3);
-        assert!(r
-            .responses
-            .iter()
-            .all(|s| *s == ResponseSolver::DirectJittered { jitter: 0.5 }));
-        assert_eq!(r.condition_estimate, Some(42.0));
-        assert!(r.certificates.is_empty());
-        assert_eq!(r.worst_backward_error, None);
-    }
-
-    #[test]
-    fn from_robust_carries_certificates_and_summary() {
-        let cert = |e: f64| SolveCertificate {
-            backward_error: e,
-            cond_estimate: 10.0,
-            refinement_steps: 0,
-            certified: CertStatus::Certified,
-        };
-        let rep = RobustSolveReport {
-            solver: SolverUsed::Direct,
-            actions: vec![],
-            warnings: vec![],
-            condition_estimate: Some(10.0),
-            form: None,
-            certificates: vec![cert(1e-15), cert(3e-12)],
-        };
-        let r = FitReport::from_robust(&rep, 2);
-        assert!(r.clean(), "certified certificates do not dirty a report");
-        assert_eq!(r.certificates.len(), 2);
-        assert_eq!(r.worst_backward_error, Some(3e-12));
     }
 }

@@ -21,12 +21,10 @@
 
 use crate::graph::AffinityGraph;
 use crate::model::Embedding;
-use crate::{Result, SrdaError};
-use srda_linalg::{ExecPolicy, Executor, Mat, SymmetricEigen};
+use crate::srda::Design;
+use crate::{Result, Srda, SrdaConfig, SrdaError, SrdaSolver};
+use srda_linalg::{ExecPolicy, Mat, SymmetricEigen};
 use srda_obs::Recorder;
-use srda_solvers::lsqr::{lsqr_controlled, LsqrConfig, SolveControls};
-use srda_solvers::ridge::RidgeSolver;
-use srda_solvers::StopReason;
 use srda_solvers::{AugmentedOp, ExecDense};
 
 /// How the spectral step's eigenvectors are computed.
@@ -58,9 +56,9 @@ pub struct SpectralRegressionConfig {
     /// Execution backend for the regression step's products (defaults to
     /// [`ExecPolicy::from_env`]).
     pub exec: ExecPolicy,
-    /// Optional run governor, probed at the fit's stage boundaries
-    /// (before the spectral step and before the regression step) and
-    /// inside the LSQR regression loop. Interrupts surface as
+    /// Optional run governor, probed before the spectral step, before
+    /// every factorization of the regression step and inside its LSQR
+    /// loop. Interrupts surface as
     /// [`SrdaError::Interrupted`] with no checkpoint — the spectral step
     /// is not resumable.
     pub governor: Option<srda_solvers::RunGovernor>,
@@ -187,57 +185,38 @@ impl SpectralRegression {
     }
 
     /// Fit on dense data with the given graph (the graph must be over the
-    /// same `m` samples, in the same order).
+    /// same `m` samples, in the same order). The regression step is
+    /// SRDA's own fit of the graph's responses, ridge ladder and
+    /// certificates included.
     pub fn fit_dense(&self, x: &Mat, graph: &AffinityGraph) -> Result<Embedding> {
-        let _fit_span = srda_obs::span!(self.config.recorder, "fit");
-        if x.nrows() != graph.n_nodes() {
-            return Err(SrdaError::ShapeMismatch {
-                op: "spectral_regression fit_dense",
-                expected: graph.n_nodes(),
-                got: x.nrows(),
-            });
-        }
-        crate::error::check_governor(self.config.governor.as_ref())?;
-        let ybar = self.responses(graph)?;
-        let n = x.ncols();
-        let exec = Executor::with_recorder(self.config.exec, self.config.recorder);
-        crate::error::check_governor(self.config.governor.as_ref())?;
-        let w_aug = match self.config.lsqr_iterations {
-            None => {
-                let x_aug = x.append_constant_col(1.0);
-                let solver = RidgeSolver::auto_exec(&x_aug, self.config.alpha, exec)?;
-                solver.solve(&x_aug, &ybar)?
+        let srda = Srda::new(SrdaConfig {
+            alpha: self.config.alpha,
+            solver: match self.config.lsqr_iterations {
+                None => SrdaSolver::NormalEquations,
+                Some(max_iter) => SrdaSolver::Lsqr { max_iter, tol: 0.0 },
+            },
+            exec: self.config.exec,
+            governor: self.config.governor.clone(),
+            recorder: self.config.recorder,
+            ..SrdaConfig::default()
+        });
+        let outcome = srda.instrumented_fit(|| {
+            if x.nrows() != graph.n_nodes() {
+                return Err(SrdaError::ShapeMismatch {
+                    op: "spectral_regression fit_dense",
+                    expected: graph.n_nodes(),
+                    got: x.nrows(),
+                });
             }
-            Some(iters) => {
-                let inner = ExecDense::new(x, exec);
-                let op = AugmentedOp::new(&inner);
-                let cfg = LsqrConfig {
-                    damp: self.config.alpha.sqrt(),
-                    max_iter: iters,
-                    tol: 0.0,
-                };
-                let mut w = Mat::zeros(n + 1, ybar.ncols());
-                for j in 0..ybar.ncols() {
-                    let controls = SolveControls {
-                        governor: self.config.governor.as_ref(),
-                        ..SolveControls::default()
-                    };
-                    let r = lsqr_controlled(&op, &ybar.col(j), &cfg, &controls);
-                    if let StopReason::Interrupted(reason) = r.stop {
-                        return Err(SrdaError::Interrupted {
-                            reason,
-                            responses_completed: j,
-                            checkpoint: None,
-                        });
-                    }
-                    w.set_col(j, &r.x);
-                }
-                w
-            }
-        };
-        let weights = w_aug.block(0, n, 0, w_aug.ncols());
-        let bias = w_aug.row(n).to_vec();
-        Embedding::new(weights, bias)
+            crate::error::check_governor(self.config.governor.as_ref())?;
+            let prepare = srda_obs::span!(self.config.recorder, "fit/prepare");
+            let ybar = self.responses(graph)?;
+            prepare.finish();
+            // no checkpoint, so no labels; only the embedding is kept
+            let op = ExecDense::new(x, srda.executor());
+            srda.fit_responses(Design::Dense(x), &AugmentedOp::new(&op), &ybar, &[])
+        })?;
+        Ok(outcome.into_model()?.embedding().clone())
     }
 }
 
@@ -446,6 +425,28 @@ mod tests {
                 .map(|b| srda_linalg::vector::dot(b, &v).powi(2))
                 .sum();
             assert!(proj > 1.0 - 1e-4, "weight {j}: proj {proj}");
+        }
+    }
+
+    #[test]
+    fn regression_step_is_the_traced_srda_fit() {
+        let (x, y) = blobs();
+        let graph = AffinityGraph::supervised(&y);
+        for (lsqr_iterations, stage) in [(None, "fit/certify"), (Some(20), "fit/lsqr/panel[1]")] {
+            let rec = Recorder::new_enabled();
+            SpectralRegression::new(SpectralRegressionConfig {
+                lsqr_iterations,
+                recorder: rec,
+                ..Default::default()
+            })
+            .fit_dense(&x, &graph)
+            .unwrap();
+            let report = rec.snapshot();
+            assert!(report.spans.iter().all(|s| s.path.starts_with("fit")));
+            for path in ["fit", "fit/prepare", stage] {
+                assert!(report.spans.iter().any(|s| s.path == path), "{path}");
+            }
+            assert!(report.counters["flam.fit"] > 0);
         }
     }
 

@@ -34,10 +34,9 @@ use srda_linalg::{flam, ExecPolicy, Executor, LinalgError, Mat};
 use srda_obs::{Counter, Recorder, SolverTrace};
 use srda_solvers::checkpoint::{CheckpointError, ProblemFingerprint};
 use srda_solvers::lsqr::{lsqr_panel, LsqrConfig, PanelControls};
-use srda_solvers::robust::{factor_ladder_governed, RobustConfig, RobustOutcome, RobustRidge};
 use srda_solvers::{
-    certify_operator, certify_operator_block, certify_spd_solves, AugmentedOp, ExecCsr, ExecDense,
-    Interrupt, LinearOperator, RunGovernor, SolveCertificate, StopReason,
+    certify_operator_block, AugmentedOp, ExecCsr, ExecDense, Interrupt, LinearOperator,
+    RidgeSystem, RunGovernor, SolveCertificate, StopReason,
 };
 use srda_sparse::CsrMatrix;
 use std::ops::Range;
@@ -227,6 +226,22 @@ pub struct SrdaModel {
     fit_report: FitReport,
 }
 
+/// The data a fit's normal equations are built from. A fit through any
+/// other operator has none, so only LSQR fits it.
+pub(crate) enum Design<'a> {
+    /// Dense samples as rows; the direct path materializes `X̃ = [X | 1]`.
+    Dense(&'a Mat),
+    /// Sparse samples as rows, never densified.
+    Sparse(&'a CsrMatrix),
+    /// Matrix-free: nothing to build a Gram matrix from.
+    Operator,
+}
+
+/// Iteration cap of the ridge ladder's last rung, damped LSQR.
+const FALLBACK_MAX_ITER: usize = 500;
+/// Relative residual tolerance of the ridge ladder's last rung.
+const FALLBACK_TOL: f64 = 1e-10;
+
 impl Srda {
     /// Create an estimator with the given configuration.
     pub fn new(config: SrdaConfig) -> Self {
@@ -245,7 +260,7 @@ impl Srda {
 
     /// The kernel executor this fit will run on; it carries the config's
     /// recorder so kernel-dispatch counters land in the same registry.
-    fn executor(&self) -> Executor {
+    pub(crate) fn executor(&self) -> Executor {
         Executor::with_recorder(self.config.exec, self.config.recorder)
     }
 
@@ -261,87 +276,8 @@ impl Srda {
     /// run hands back its partial state (and checkpoint path) instead of
     /// an error.
     pub fn fit_dense_outcome(&self, x: &Mat, y: &[usize]) -> Result<FitOutcome> {
-        self.instrumented_fit(|| self.fit_dense_outcome_inner(x, y))
-    }
-
-    /// Run `f` under the top-level `fit` span, streaming the flam it
-    /// spends into the registry counter `flam.fit`. With a disabled
-    /// recorder this is one branch and a direct call.
-    fn instrumented_fit<T>(&self, f: impl FnOnce() -> T) -> T {
-        let rec = self.config.recorder;
-        if !rec.is_enabled() {
-            return f();
-        }
-        rec.gauge("fit.alpha", self.config.alpha);
-        let _span = rec.span("fit");
-        match rec.counter("flam.fit").cell() {
-            Some(cell) => flam::scoped(cell, f),
-            None => f(),
-        }
-    }
-
-    fn fit_dense_outcome_inner(&self, x: &Mat, y: &[usize]) -> Result<FitOutcome> {
-        if x.nrows() != y.len() {
-            return Err(SrdaError::ShapeMismatch {
-                op: "fit_dense",
-                expected: x.nrows(),
-                got: y.len(),
-            });
-        }
-        let rec = self.config.recorder;
-        let prepare = srda_obs::span!(rec, "fit/prepare");
-        let index = ClassIndex::new(y)?;
-        let ybar = responses::generate(&index);
-        prepare.finish();
-        let n = x.ncols();
-
-        match self.config.solver {
-            SrdaSolver::NormalEquations => {
-                self.reject_resume_for_direct()?;
-                // materialize the augmented matrix once; budget-checked
-                let need = x.nrows() * (n + 1) * 8;
-                self.check_budget(need, "augmented data matrix")?;
-                let x_aug = x.append_constant_col(1.0);
-                // RobustRidge walks the recovery ladder (direct →
-                // jittered retries → damped LSQR) instead of propagating
-                // a Singular/NotPositiveDefinite error to the caller
-                let ridge_span = srda_obs::span!(rec, "fit/ridge");
-                let outcome = RobustRidge::with_executor(RobustConfig::default(), self.executor())
-                    .solve_governed(
-                        &x_aug,
-                        &ybar,
-                        self.config.alpha,
-                        self.config.governor.as_ref(),
-                    )?;
-                ridge_span.finish();
-                match outcome {
-                    RobustOutcome::Solved(w_aug, rep) => {
-                        let mut report = FitReport::from_robust(&rep, ybar.ncols());
-                        self.warn_checkpoint_unsupported(&mut report);
-                        Ok(FitOutcome::Complete(self.finish(
-                            w_aug,
-                            n,
-                            index.n_classes(),
-                            0,
-                            report,
-                        )))
-                    }
-                    RobustOutcome::Interrupted { reason, report } => {
-                        let partial = FitReport {
-                            warnings: report.warnings,
-                            recoveries: report.actions,
-                            ..FitReport::default()
-                        };
-                        Ok(self.direct_interrupted(reason, partial, ybar.ncols()))
-                    }
-                }
-            }
-            SrdaSolver::Lsqr { max_iter, tol } => {
-                let inner = ExecDense::new(x, self.executor());
-                let op = AugmentedOp::new(&inner);
-                self.fit_lsqr_outcome(&op, &ybar, y, n, index.n_classes(), max_iter, tol)
-            }
-        }
+        let op = ExecDense::new(x, self.executor());
+        self.fit_design(Design::Dense(x), &AugmentedOp::new(&op), y, "fit_dense")
     }
 
     /// Fit on sparse data without ever densifying it. A governed fit
@@ -355,224 +291,8 @@ impl Srda {
     /// run hands back its partial state (and checkpoint path) instead of
     /// an error.
     pub fn fit_sparse_outcome(&self, x: &CsrMatrix, y: &[usize]) -> Result<FitOutcome> {
-        self.instrumented_fit(|| self.fit_sparse_outcome_inner(x, y))
-    }
-
-    fn fit_sparse_outcome_inner(&self, x: &CsrMatrix, y: &[usize]) -> Result<FitOutcome> {
-        if x.nrows() != y.len() {
-            return Err(SrdaError::ShapeMismatch {
-                op: "fit_sparse",
-                expected: x.nrows(),
-                got: y.len(),
-            });
-        }
-        let rec = self.config.recorder;
-        let prepare = srda_obs::span!(rec, "fit/prepare");
-        let index = ClassIndex::new(y)?;
-        let ybar = responses::generate(&index);
-        prepare.finish();
-        let n = x.ncols();
-
-        match self.config.solver {
-            SrdaSolver::NormalEquations => {
-                self.reject_resume_for_direct()?;
-                // Dual normal equations: K = X̃X̃ᵀ + αI is m × m and is
-                // built from sparse row intersections — X̃ = [X | 1] adds
-                // +1 to every Gram entry. A declined memory budget is a
-                // recovery (matrix-free LSQR), not a fatal error: the
-                // warning records exactly why the dense Gram was refused.
-                let m = x.nrows();
-                let exec = self.executor();
-                let budget = self.config.memory_budget_bytes.unwrap_or(usize::MAX);
-                let mut report = FitReport::default();
-                let gram_span = srda_obs::span!(rec, "fit/gram");
-                let gram = match x.gram_t_dense_checked_exec(budget, &exec) {
-                    Ok(k) => Some(k),
-                    Err(decline) => {
-                        report.warnings.push(format!(
-                            "sparse dual Gram declined: {decline}; \
-                             falling back to matrix-free LSQR"
-                        ));
-                        None
-                    }
-                };
-                gram_span.finish();
-                if let Some(mut k) = gram {
-                    let factor_span = srda_obs::span!(rec, "fit/factor");
-                    for i in 0..m {
-                        for j in 0..m {
-                            k[(i, j)] += 1.0; // the bias column's contribution
-                        }
-                    }
-                    k.add_to_diag(self.config.alpha);
-
-                    // the same ladder RobustRidge walks on dense data,
-                    // shared via `factor_ladder` (the dual Gram matrix is
-                    // built from sparse rows, so the factor step differs):
-                    // factor → escalating jitter → matrix-free LSQR
-                    let alpha = self.config.alpha;
-                    let base = if alpha > 0.0 {
-                        alpha * 10.0
-                    } else {
-                        1e-10 * k.max_abs().max(1.0)
-                    };
-                    let mut applied = 0.0;
-                    // Each rung factors, solves, and certifies every
-                    // response against the system actually factored (K with
-                    // its jitter applied) — the same certificate-driven
-                    // ladder RobustRidge walks on dense data: a Suspect
-                    // verdict after refinement is a retryable breakdown,
-                    // because extra diagonal loading lowers κ, which is
-                    // exactly what shrinks the failed forward-error bound.
-                    // One Hager estimate per factorization, shared by all
-                    // responses.
-                    let outcome = factor_ladder_governed(
-                        alpha,
-                        base,
-                        3,
-                        10.0,
-                        "sparse dual solve",
-                        self.config.governor.as_ref(),
-                        |jitter| {
-                            k.add_to_diag(jitter - applied);
-                            applied = jitter;
-                            let chol = srda_linalg::Cholesky::factor(&k)?;
-                            let backsub_span = srda_obs::span!(rec, "fit/backsub");
-                            let mut u = chol.solve_mat(&ybar)?;
-                            backsub_span.finish();
-                            let certify_span = srda_obs::span!(rec, "fit/certify");
-                            let cond = chol.condition_estimate();
-                            let certs = certify_spd_solves(&chol, &k, cond, &ybar, &mut u, 3)?;
-                            certify_span.finish();
-                            if let Some(bad) = certs.iter().find(|c| c.is_suspect()) {
-                                return Err(LinalgError::CertificationFailed {
-                                    error_bound: bad.error_bound(),
-                                });
-                            }
-                            Ok((u, certs, cond))
-                        },
-                    )?;
-                    factor_span.finish();
-                    report.warnings.extend(outcome.warnings);
-                    report.recoveries.extend(outcome.actions);
-                    if let Some(reason) = outcome.interrupted {
-                        return Ok(self.direct_interrupted(reason, report, ybar.ncols()));
-                    }
-                    if let Some(((u, certs, cond), jitter)) = outcome.value {
-                        // w̃ = X̃ᵀ u : feature part via sparse
-                        // transpose-multiply, bias part via column sums of u
-                        let backsub_span = srda_obs::span!(rec, "fit/backsub");
-                        let c1 = ybar.ncols();
-                        let mut w_aug = Mat::zeros(n + 1, c1);
-                        for j in 0..c1 {
-                            let uj = u.col(j);
-                            let wj = x.matvec_t_exec(&uj, &exec)?;
-                            for (i, &v) in wj.iter().enumerate() {
-                                w_aug[(i, j)] = v;
-                            }
-                            w_aug[(n, j)] = uj.iter().sum();
-                        }
-                        backsub_span.finish();
-                        if w_aug.as_slice().iter().all(|v| v.is_finite()) {
-                            report.condition_estimate = Some(cond);
-                            report.certificates = certs;
-                            let solver = if jitter > 0.0 {
-                                ResponseSolver::DirectJittered { jitter }
-                            } else {
-                                ResponseSolver::Direct
-                            };
-                            report.responses = vec![solver; c1];
-                            self.warn_checkpoint_unsupported(&mut report);
-                            return Ok(FitOutcome::Complete(self.finish(
-                                w_aug,
-                                n,
-                                index.n_classes(),
-                                0,
-                                report,
-                            )));
-                        }
-                        report
-                            .warnings
-                            .push("sparse dual solve produced non-finite weights".into());
-                        report.warnings.push(
-                            "all factorizations failed; weights computed by damped LSQR".into(),
-                        );
-                    } else {
-                        report.warnings.push(
-                            "every rung failed factorization or certification; \
-                             weights computed by damped LSQR"
-                                .into(),
-                        );
-                    }
-                }
-                // every factorization failed, poisoned the weights, or was
-                // declined by the budget: solve matrix-free, which never
-                // forms the Gram matrix
-                report.recoveries.push(RecoveryAction::LsqrFallback);
-                let backend = exec.backend_name();
-                let inner = ExecCsr::new(x, exec);
-                let op = AugmentedOp::new(&inner);
-                let ctl = ResponseControls {
-                    governor: self.config.governor.as_ref(),
-                    checkpoint: None,
-                    resume: None,
-                    fingerprint: None,
-                    recorder: rec,
-                    backend,
-                };
-                match solve_lsqr_responses_controlled(
-                    &op,
-                    &ybar,
-                    self.config.alpha,
-                    500,
-                    1e-10,
-                    &ctl,
-                )? {
-                    ResponsesOutcome::Done {
-                        w,
-                        iterations,
-                        report: mut fb,
-                    } => {
-                        report.warnings.append(&mut fb.warnings);
-                        report.certificates = std::mem::take(&mut fb.certificates);
-                        report.responses = vec![ResponseSolver::LsqrFallback; ybar.ncols()];
-                        self.warn_checkpoint_unsupported(&mut report);
-                        Ok(FitOutcome::Complete(self.finish(
-                            w,
-                            n,
-                            index.n_classes(),
-                            iterations,
-                            report,
-                        )))
-                    }
-                    ResponsesOutcome::Interrupted {
-                        reason,
-                        report: fb,
-                        responses_completed,
-                        iterations,
-                        ..
-                    } => {
-                        report.warnings.extend(fb.warnings);
-                        report.certificates = fb.certificates;
-                        report.refresh_certificate_summary();
-                        report.interrupt = Some(reason);
-                        Ok(FitOutcome::Interrupted(InterruptedFit {
-                            reason,
-                            report,
-                            responses_completed,
-                            total_responses: ybar.ncols(),
-                            iterations,
-                            checkpoint: None,
-                        }))
-                    }
-                }
-            }
-            SrdaSolver::Lsqr { max_iter, tol } => {
-                let inner = ExecCsr::new(x, self.executor());
-                let op = AugmentedOp::new(&inner);
-                self.fit_lsqr_outcome(&op, &ybar, y, n, index.n_classes(), max_iter, tol)
-            }
-        }
+        let op = ExecCsr::new(x, self.executor());
+        self.fit_design(Design::Sparse(x), &AugmentedOp::new(&op), y, "fit_sparse")
     }
 
     /// Fit through any [`LinearOperator`] — including
@@ -600,33 +320,177 @@ impl Srda {
         x: &A,
         y: &[usize],
     ) -> Result<FitOutcome> {
-        self.instrumented_fit(|| self.fit_operator_outcome_inner(x, y))
+        self.fit_design(Design::Operator, &AugmentedOp::new(x), y, "fit_operator")
     }
 
-    fn fit_operator_outcome_inner<A: LinearOperator + ?Sized>(
-        &self,
-        x: &A,
-        y: &[usize],
-    ) -> Result<FitOutcome> {
-        if x.nrows() != y.len() {
-            return Err(SrdaError::ShapeMismatch {
-                op: "fit_operator",
-                expected: x.nrows(),
-                got: y.len(),
-            });
+    /// Run `f` under the top-level `fit` span, streaming the flam it
+    /// spends into the registry counter `flam.fit`. With a disabled
+    /// recorder this is one branch and a direct call.
+    pub(crate) fn instrumented_fit<T>(&self, f: impl FnOnce() -> T) -> T {
+        let rec = self.config.recorder;
+        if !rec.is_enabled() {
+            return f();
         }
-        let SrdaSolver::Lsqr { max_iter, tol } = self.config.solver else {
-            return Err(SrdaError::InvalidLabels {
-                context: "fit_operator requires the LSQR solver (matrix-free)".into(),
-            });
+        rec.gauge("fit.alpha", self.config.alpha);
+        // the span opens inside the flam scope, so it times the fit and
+        // not the set-up of its own instrumentation
+        let timed = || {
+            let _span = rec.span("fit");
+            f()
         };
-        let prepare = srda_obs::span!(self.config.recorder, "fit/prepare");
-        let index = ClassIndex::new(y)?;
-        let ybar = responses::generate(&index);
-        prepare.finish();
-        let n = x.ncols();
-        let op = AugmentedOp::new(x);
-        self.fit_lsqr_outcome(&op, &ybar, y, n, index.n_classes(), max_iter, tol)
+        match rec.counter("flam.fit").cell() {
+            Some(cell) => flam::scoped(cell, timed),
+            None => timed(),
+        }
+    }
+
+    /// The labelled fit through `op`, the bias-augmented `X̃ = [X | 1]`:
+    /// the class responses of `y` (§III.A), then [`Srda::fit_responses`].
+    fn fit_design(
+        &self,
+        design: Design<'_>,
+        op: &dyn LinearOperator,
+        y: &[usize],
+        name: &'static str,
+    ) -> Result<FitOutcome> {
+        self.instrumented_fit(|| {
+            if op.nrows() != y.len() {
+                return Err(SrdaError::ShapeMismatch {
+                    op: name,
+                    expected: op.nrows(),
+                    got: y.len(),
+                });
+            }
+            let prepare = srda_obs::span!(self.config.recorder, "fit/prepare");
+            let index = ClassIndex::new(y)?;
+            let ybar = responses::generate(&index);
+            prepare.finish();
+            self.fit_responses(design, op, &ybar, y)
+        })
+    }
+
+    /// Solve the ridge problem (Eqn 19) of every column of `ybar` with the
+    /// configured solver: the ridge ladder over `design`'s normal
+    /// equations, or LSQR through `op` (`X̃ = [X | 1]`). `labels` only feed
+    /// the checkpoint fingerprint, so a fit that neither checkpoints nor
+    /// resumes may pass none.
+    pub(crate) fn fit_responses(
+        &self,
+        design: Design<'_>,
+        op: &dyn LinearOperator,
+        ybar: &Mat,
+        labels: &[usize],
+    ) -> Result<FitOutcome> {
+        match self.config.solver {
+            SrdaSolver::NormalEquations => self.fit_direct(design, op, ybar),
+            SrdaSolver::Lsqr { max_iter, tol } => self.fit_lsqr(op, ybar, labels, max_iter, tol),
+        }
+    }
+
+    /// The normal-equation fit: the ridge ladder over the design's Gram
+    /// matrix (see `srda_solvers::ridge`), whose last rung is damped LSQR
+    /// through `op` and the response loop. Direct solves have no
+    /// resumable state, so they neither resume nor checkpoint.
+    fn fit_direct(
+        &self,
+        design: Design<'_>,
+        op: &dyn LinearOperator,
+        ybar: &Mat,
+    ) -> Result<FitOutcome> {
+        let rec = self.config.recorder;
+        // the whole normal-equation fit; the ladder's stages nest inside
+        let _span = srda_obs::span!(rec, "fit/ridge");
+        let gram_span = srda_obs::span!(rec, "fit/gram");
+        // silently ignoring `resume_from` would hide a misconfiguration
+        if self.config.resume_from.is_some() {
+            return Err(SrdaError::Checkpoint(CheckpointError::Mismatch(
+                "resume requires the LSQR solver; this fit is configured \
+                 for normal equations"
+                    .into(),
+            )));
+        }
+        let k = ybar.ncols();
+        let mut report = FitReport::default();
+        self.warn_checkpoint_unsupported(&mut report);
+        let system = match design {
+            Design::Dense(x) => {
+                let need = x.nrows() * op.ncols() * 8;
+                if let Some(budget) = self.config.memory_budget_bytes.filter(|&b| need > b) {
+                    return Err(SrdaError::MemoryBudgetExceeded {
+                        needed_bytes: need,
+                        budget_bytes: budget,
+                        context: "augmented data matrix",
+                    });
+                }
+                Some(RidgeSystem::dense(x, ybar, self.executor())?)
+            }
+            // a declined memory budget is a recovery (matrix-free LSQR),
+            // not a fatal error: the warning records exactly why
+            Design::Sparse(x) => {
+                let budget = self.config.memory_budget_bytes.unwrap_or(usize::MAX);
+                match RidgeSystem::sparse(x, ybar, budget, self.executor()) {
+                    Ok(system) => Some(system),
+                    Err(decline) => {
+                        report.warnings.push(format!(
+                            "sparse dual Gram declined: {decline}; \
+                             falling back to matrix-free LSQR"
+                        ));
+                        None
+                    }
+                }
+            }
+            Design::Operator => {
+                return Err(SrdaError::InvalidLabels {
+                    context: "fit_operator requires the LSQR solver (matrix-free)".into(),
+                })
+            }
+        };
+        gram_span.finish();
+        if let Some(mut system) = system {
+            let outcome = system.solve_ladder(self.config.alpha, self.config.governor.as_ref())?;
+            // one direct attempt plus one per jitter retry
+            rec.add("ladder.attempts", 1 + outcome.actions.len() as u64);
+            report.warnings.extend(outcome.warnings);
+            report.recoveries.extend(outcome.actions);
+            if let Some(reason) = outcome.interrupted {
+                report.interrupt = Some(reason);
+                return Ok(FitOutcome::Interrupted(InterruptedFit {
+                    reason,
+                    report,
+                    responses_completed: 0,
+                    total_responses: k,
+                    iterations: 0,
+                    checkpoint: None,
+                }));
+            }
+            if let Some((solved, jitter)) = outcome.value {
+                report.condition_estimate = Some(solved.cond);
+                report.certificates = solved.certificates;
+                let solver = if jitter > 0.0 {
+                    ResponseSolver::DirectJittered { jitter }
+                } else {
+                    ResponseSolver::Direct
+                };
+                report.responses = vec![solver; k];
+                return Ok(FitOutcome::Complete(self.finish(solved.weights, 0, report)));
+            }
+            report.warnings.push(
+                "every rung failed factorization or certification; \
+                 weights computed by damped LSQR"
+                    .into(),
+            );
+        }
+        // the last rung never forms the Gram matrix, so the breakdowns
+        // above cannot recur; rank deficiency yields the minimum-norm
+        // solution
+        report.recoveries.push(RecoveryAction::LsqrFallback);
+        rec.add("ladder.lsqr_fallback", 1);
+        let ctl = ResponseControls {
+            fallback: true,
+            ..ResponseControls::default()
+        };
+        let (max_iter, tol) = (FALLBACK_MAX_ITER, FALLBACK_TOL);
+        self.solve_lsqr_responses_controlled(op, ybar, max_iter, tol, report, &ctl)
     }
 
     /// Incrementally refit on an **updated** sparse dataset (e.g. the old
@@ -639,18 +503,8 @@ impl Srda {
     /// answer to IDR/QR's incremental-update selling point. The class
     /// count and feature count must match `previous`; `tol` should be
     /// non-zero so the solver can stop early (that is the whole point).
+    /// A warm start is not resumable, so the fit writes no checkpoint.
     pub fn fit_sparse_incremental(
-        &self,
-        x: &CsrMatrix,
-        y: &[usize],
-        previous: &SrdaModel,
-        max_iter: usize,
-        tol: f64,
-    ) -> Result<SrdaModel> {
-        self.instrumented_fit(|| self.fit_sparse_incremental_inner(x, y, previous, max_iter, tol))
-    }
-
-    fn fit_sparse_incremental_inner(
         &self,
         x: &CsrMatrix,
         y: &[usize],
@@ -665,10 +519,11 @@ impl Srda {
                 got: y.len(),
             });
         }
-        if previous.embedding().n_features() != x.ncols() {
+        let prev = previous.embedding();
+        if prev.n_features() != x.ncols() {
             return Err(SrdaError::ShapeMismatch {
                 op: "fit_sparse_incremental (features)",
-                expected: previous.embedding().n_features(),
+                expected: prev.n_features(),
                 got: x.ncols(),
             });
         }
@@ -682,87 +537,29 @@ impl Srda {
                 ),
             });
         }
-        let ybar = responses::generate(&index);
-        let n = x.ncols();
-        let inner = ExecCsr::new(x, self.executor());
-        let op = AugmentedOp::new(&inner);
-        let cfg = srda_solvers::lsqr::LsqrConfig {
-            damp: self.config.alpha.sqrt(),
-            max_iter,
-            tol,
-        };
-        let prev_w = previous.embedding().weights();
-        let prev_b = previous.embedding().bias();
-        let mut w_aug = Mat::zeros(n + 1, ybar.ncols());
-        let mut total_iters = 0;
         let mut report = FitReport::default();
-        let mut x0 = vec![0.0; n + 1];
-        for j in 0..ybar.ncols() {
-            let _span = srda_obs::span!(self.config.recorder, "fit/response[{j}]/lsqr_warm");
-            for i in 0..n {
-                x0[i] = prev_w[(i, j)];
-            }
-            x0[n] = prev_b[j];
-            let r = srda_solvers::lsqr::lsqr_warm_governed(
-                &op,
-                &ybar.col(j),
-                &x0,
-                &cfg,
-                self.config.governor.as_ref(),
-            );
-            if let StopReason::Interrupted(reason) = r.stop {
-                return Err(SrdaError::Interrupted {
-                    reason,
-                    responses_completed: j,
-                    checkpoint: None,
-                });
-            }
-            ensure_converging(r.stop)?;
-            let cert = certify_operator(&op, &ybar.col(j), &r.x, cfg.damp);
-            record_lsqr_response(
-                &mut report,
-                j,
-                r.iterations,
-                r.stop,
-                r.residual_norm,
-                tol,
-                cert,
-            );
-            total_iters += r.iterations;
-            w_aug.set_col(j, &r.x);
-        }
-        Ok(self.finish(w_aug, n, index.n_classes(), total_iters, report))
+        self.warn_checkpoint_unsupported(&mut report);
+        let outcome = self.instrumented_fit(|| -> Result<FitOutcome> {
+            let prepare = srda_obs::span!(self.config.recorder, "fit/prepare");
+            let ybar = responses::generate(&index);
+            // each response starts from its column of the previous [W; bᵀ]
+            let starts = [prev.weights().as_slice(), prev.bias()].concat();
+            let starts = Mat::from_vec(x.ncols() + 1, ybar.ncols(), starts)
+                .expect("the previous model has n × k weights and k biases");
+            prepare.finish();
+            let ctl = ResponseControls {
+                x0: Some(&starts),
+                ..ResponseControls::default()
+            };
+            let op = ExecCsr::new(x, self.executor());
+            let op = AugmentedOp::new(&op);
+            self.solve_lsqr_responses_controlled(&op, &ybar, max_iter, tol, report, &ctl)
+        });
+        outcome?.into_model()
     }
 
-    fn check_budget(&self, needed: usize, context: &'static str) -> Result<()> {
-        if let Some(budget) = self.config.memory_budget_bytes {
-            if needed > budget {
-                return Err(SrdaError::MemoryBudgetExceeded {
-                    needed_bytes: needed,
-                    budget_bytes: budget,
-                    context,
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// Resume only makes sense for the (iterative, checkpointable) LSQR
-    /// solver; silently ignoring `resume_from` on a direct solve would
-    /// hide a misconfiguration.
-    fn reject_resume_for_direct(&self) -> Result<()> {
-        if self.config.resume_from.is_some() {
-            return Err(SrdaError::Checkpoint(CheckpointError::Mismatch(
-                "resume requires the LSQR solver; this fit is configured \
-                 for normal equations"
-                    .into(),
-            )));
-        }
-        Ok(())
-    }
-
-    /// Record that a configured checkpoint policy was ignored because the
-    /// fit did not run through the (checkpointable) LSQR response loop.
+    /// Record that a configured checkpoint policy is ignored because the
+    /// fit does not run the configured (checkpointable) LSQR solver.
     fn warn_checkpoint_unsupported(&self, report: &mut FitReport) {
         if self.config.checkpoint.is_some() {
             report.warnings.push(
@@ -773,61 +570,28 @@ impl Srda {
         }
     }
 
-    /// Package an interrupt that landed before any response was solved
-    /// (direct-solver paths, which have no resumable state).
-    fn direct_interrupted(
+    /// The configured LSQR solver through `op`: governed, checkpointable
+    /// and resumable.
+    fn fit_lsqr(
         &self,
-        reason: Interrupt,
-        mut report: FitReport,
-        total_responses: usize,
-    ) -> FitOutcome {
-        report.interrupt = Some(reason);
-        FitOutcome::Interrupted(InterruptedFit {
-            reason,
-            report,
-            responses_completed: 0,
-            total_responses,
-            iterations: 0,
-            checkpoint: None,
-        })
-    }
-
-    /// The governed, checkpointable LSQR response loop shared by every
-    /// `fit_*` path that runs the configured LSQR solver.
-    #[allow(clippy::too_many_arguments)]
-    fn fit_lsqr_outcome<A: LinearOperator + ?Sized>(
-        &self,
-        op: &A,
+        op: &dyn LinearOperator,
         ybar: &Mat,
-        y: &[usize],
-        n: usize,
-        n_classes: usize,
+        labels: &[usize],
         max_iter: usize,
         tol: f64,
     ) -> Result<FitOutcome> {
-        let k = ybar.ncols();
+        let (alpha, n, k) = (self.config.alpha, op.ncols() - 1, ybar.ncols());
         // the fingerprint binds persisted state to this exact problem; it
         // is only needed when state crosses the process boundary
         let want_ckpt = self.config.checkpoint.is_some() || self.config.resume_from.is_some();
-        let fingerprint = if want_ckpt {
-            Some(FitFingerprint::new(
-                op.nrows(),
-                n,
-                k,
-                self.config.alpha,
-                max_iter,
-                tol,
-                y,
-            ))
-        } else {
-            None
-        };
+        let fingerprint =
+            want_ckpt.then(|| FitFingerprint::new(op.nrows(), n, k, alpha, max_iter, tol, labels));
         let resume = match &self.config.resume_from {
             Some(path) => {
                 let ckpt = FitCheckpoint::read(path)?;
                 ckpt.fingerprint
                     .ensure_matches(fingerprint.as_ref().expect("fingerprint exists on resume"))?;
-                check_resume_layout(&ckpt, op, ybar, max_iter, tol, self.config.alpha)?;
+                check_resume_layout(&ckpt, op, ybar, max_iter, tol, alpha)?;
                 Some(ckpt)
             }
             None => None,
@@ -845,64 +609,17 @@ impl Srda {
             None => None,
         };
         let ctl = ResponseControls {
-            governor: self.config.governor.as_ref(),
             checkpoint: ckpt_path.as_ref().map(|(p, every)| (p.as_path(), *every)),
             resume,
             fingerprint,
-            recorder: self.config.recorder,
-            backend: self.executor().backend_name(),
+            ..ResponseControls::default()
         };
-        match solve_lsqr_responses_controlled(op, ybar, self.config.alpha, max_iter, tol, &ctl)? {
-            ResponsesOutcome::Done {
-                w,
-                iterations,
-                report,
-            } => {
-                // a finished fit leaves no stale checkpoint behind — a
-                // later run must not accidentally "resume" a done fit
-                if let Some((path, _)) = &ckpt_path {
-                    let _ = std::fs::remove_file(path);
-                }
-                Ok(FitOutcome::Complete(
-                    self.finish(w, n, n_classes, iterations, report),
-                ))
-            }
-            ResponsesOutcome::Interrupted {
-                reason,
-                mut report,
-                responses_completed,
-                iterations,
-                checkpoint,
-            } => {
-                report.interrupt = Some(reason);
-                report.refresh_certificate_summary();
-                let written = match (&ckpt_path, checkpoint) {
-                    (Some((path, _)), Some(state)) => {
-                        state.write_atomic(path)?;
-                        Some(path.clone())
-                    }
-                    _ => None,
-                };
-                Ok(FitOutcome::Interrupted(InterruptedFit {
-                    reason,
-                    report,
-                    responses_completed,
-                    total_responses: k,
-                    iterations,
-                    checkpoint: written,
-                }))
-            }
-        }
+        let report = FitReport::default();
+        self.solve_lsqr_responses_controlled(op, ybar, max_iter, tol, report, &ctl)
     }
 
-    fn finish(
-        &self,
-        w_aug: Mat,
-        n: usize,
-        n_classes: usize,
-        lsqr_iterations: usize,
-        mut fit_report: FitReport,
-    ) -> SrdaModel {
+    /// The model of the weights `w_aug` = `[W; bᵀ]` (`(n + 1) × (c − 1)`).
+    fn finish(&self, w_aug: Mat, lsqr_iterations: usize, mut fit_report: FitReport) -> SrdaModel {
         fit_report.refresh_certificate_summary();
         let rec = self.config.recorder;
         if rec.is_enabled() {
@@ -918,13 +635,13 @@ impl Srda {
         }
         // split [W; bᵀ] into the weight matrix and the intercept row; the
         // weights keep the buffer, so W is never copied
-        let k = w_aug.ncols();
+        let (n, k) = (w_aug.nrows() - 1, w_aug.ncols());
         let mut weights = w_aug.into_vec();
         let bias = weights.split_off(n * k);
         let weights = Mat::from_vec(n, k, weights).expect("split shapes always consistent");
         SrdaModel {
             embedding: Embedding::new(weights, bias).expect("split shapes always consistent"),
-            n_classes,
+            n_classes: k + 1,
             alpha: self.config.alpha,
             lsqr_iterations,
             fit_report,
@@ -1031,9 +748,9 @@ fn lsqr_panels(cols: Range<usize>, p_max: usize) -> Vec<Range<usize>> {
 /// own right-hand sides. The panel layout is not checked: each column's
 /// trajectory is its own, so a fit resumes from any layout, including one
 /// written through an operator with another panel width.
-fn check_resume_layout<A: LinearOperator + ?Sized>(
+fn check_resume_layout(
     ckpt: &FitCheckpoint,
-    op: &A,
+    op: &dyn LinearOperator,
     ybar: &Mat,
     max_iter: usize,
     tol: f64,
@@ -1078,14 +795,14 @@ fn check_resume_layout<A: LinearOperator + ?Sized>(
 
 /// Routes a panel's block products through its `apply`/`apply_t` spans
 /// and the `lsqr.operator_passes` counter.
-struct PanelOp<'a, A: ?Sized> {
-    inner: &'a A,
+struct PanelOp<'a> {
+    inner: &'a dyn LinearOperator,
     recorder: Recorder,
     panel: usize,
     passes: &'a Counter,
 }
 
-impl<A: LinearOperator + ?Sized> LinearOperator for PanelOp<'_, A> {
+impl LinearOperator for PanelOp<'_> {
     fn nrows(&self) -> usize {
         self.inner.nrows()
     }
@@ -1121,7 +838,7 @@ fn block_of(a: &Mat, cols: Range<usize>) -> Vec<f64> {
         .collect()
 }
 
-impl<A: LinearOperator + ?Sized> PanelOp<'_, A> {
+impl PanelOp<'_> {
     /// Certify the finished responses `cols` of `w` against their
     /// right-hand sides in `ybar`: three block products for the whole
     /// panel, timed by the panel's `certify` span.
@@ -1138,10 +855,9 @@ impl<A: LinearOperator + ?Sized> PanelOp<'_, A> {
     }
 }
 
-/// Governance/persistence inputs threaded through the response panels.
+/// Persistence and warm starts for the response panels.
+#[derive(Default)]
 struct ResponseControls<'a> {
-    /// Budget/cancellation authority shared by every solve.
-    governor: Option<&'a RunGovernor>,
     /// Checkpoint file and refresh period, when persistence is on.
     checkpoint: Option<(&'a Path, usize)>,
     /// Persisted state to continue from (already verified by
@@ -1149,268 +865,271 @@ struct ResponseControls<'a> {
     resume: Option<FitCheckpoint>,
     /// Problem identity; `Some` exactly when `checkpoint` or `resume` is.
     fingerprint: Option<FitFingerprint>,
-    /// Observability sink for panel spans and solver telemetry.
-    recorder: Recorder,
-    /// Backend name the operator's kernels run on, for trace metadata.
-    backend: &'static str,
-}
-
-/// What the response panels produced.
-enum ResponsesOutcome {
-    /// All `c − 1` responses solved.
-    Done {
-        w: Mat,
-        iterations: usize,
-        report: FitReport,
-    },
-    /// The governor stopped a panel; `checkpoint` carries the resumable
-    /// state when a fingerprint was available.
-    Interrupted {
-        reason: Interrupt,
-        report: FitReport,
-        responses_completed: usize,
-        iterations: usize,
-        checkpoint: Option<Box<FitCheckpoint>>,
-    },
+    /// Warm starts: column `j` of this `(n+1) × k` matrix starts response
+    /// `j` (a warm fit neither checkpoints nor resumes).
+    x0: Option<&'a Mat>,
+    /// The loop is the ridge ladder's last rung, and its responses say so.
+    fallback: bool,
 }
 
 /// Called by LSQR every `checkpoint_every` iterations with the panel's
 /// state.
 type CheckpointWriter<'a> = Box<dyn Fn(&[PanelColumn]) + 'a>;
 
-/// Solve the `c − 1` damped least-squares problems with lockstep LSQR,
-/// one panel ([`panel_width`]) after another: each lockstep iteration
-/// makes one block product pair for the whole panel, and every response
-/// keeps the trajectory it would have alone. A diverged response fails
-/// the whole fit (see [`ensure_converging`]); a governor interrupt returns
-/// the partial state instead, with the interrupted panel's per-column
-/// state when a fingerprint is available.
-fn solve_lsqr_responses_controlled<A: LinearOperator + ?Sized>(
-    op: &A,
-    ybar: &Mat,
-    alpha: f64,
-    max_iter: usize,
-    tol: f64,
-    ctl: &ResponseControls<'_>,
-) -> Result<ResponsesOutcome> {
-    let cfg = LsqrConfig {
-        damp: alpha.sqrt(),
-        max_iter,
-        tol,
-    };
-    let k = ybar.ncols();
-    let p_max = panel_width(op, k);
-    // a resumed fit keeps the checkpoint's layout up to its interrupted
-    // panel: the completed columns (only certified here), that panel,
-    // then the rest in fresh panels
-    let (start, carried_len) = ctl
-        .resume
-        .as_ref()
-        .map_or((0, 0), |c| (c.completed.len(), c.panel.len()));
-    let mut panels = lsqr_panels(0..start, p_max);
-    let first = panels.len();
-    if carried_len > 0 {
-        panels.push(start..start + carried_len);
-    }
-    panels.extend(lsqr_panels(start + carried_len..k, p_max));
-    let passes = ctl.recorder.counter("lsqr.operator_passes");
-    let mut report = FitReport::default();
-    let mut w = Mat::zeros(op.ncols(), k);
-    let mut total_iters = 0;
-    // the columns of every finished panel, kept for checkpoints
-    let mut completed: Vec<CompletedResponse> = Vec::new();
-    let mut carried: Vec<PanelColumn> = Vec::new();
-    if let Some(ckpt) = &ctl.resume {
-        for (j, c) in ckpt.completed.iter().enumerate() {
-            w.set_col(j, &c.x);
-            total_iters += c.iterations;
-        }
-        // the certificate is a pure function of the persisted iterate, so
-        // recomputing it reproduces the original run's value bitwise (any
-        // suspect-warning text rides in ckpt.warnings)
-        for (i, cols) in panels[..first].iter().enumerate() {
-            let panel_op = PanelOp {
-                inner: op,
-                recorder: ctl.recorder,
-                panel: i,
-                passes: &passes,
-            };
-            let certs = panel_op.certify(ybar, &w, cols.clone(), cfg.damp);
-            report.certificates.extend(certs);
-        }
-        report
-            .responses
-            .extend(ckpt.completed.iter().map(|c| ResponseSolver::Lsqr {
-                iterations: c.iterations,
-                stop: c.stop,
-            }));
-        report.warnings = ckpt.warnings.clone();
-        completed = ckpt.completed.clone();
-        carried = ckpt.panel.clone();
-    }
-
-    for (i, cols) in panels.iter().enumerate().skip(first) {
-        let _span = srda_obs::span!(ctl.recorder, "fit/lsqr/panel[{i}]");
-        // columns a resumed panel had already finished stay as they were
-        let mut before: Vec<Option<CompletedResponse>> = vec![None; cols.len()];
-        let mut resume = Vec::new();
-        for (pos, col) in std::mem::take(&mut carried).into_iter().enumerate() {
-            match col {
-                PanelColumn::Done(c) => {
-                    w.set_col(cols.start + pos, &c.x);
-                    before[pos] = Some(c);
-                }
-                PanelColumn::Running(state) => resume.push(state),
-            }
-        }
-        let run: Vec<usize> = cols
-            .clone()
-            .filter(|j| before[j - cols.start].is_none())
-            .collect();
-        let rhs: Vec<Vec<f64>> = run.iter().map(|&j| ybar.col(j)).collect();
-        let rhs: Vec<&[f64]> = rhs.iter().map(Vec::as_slice).collect();
-        let traces: Vec<Option<SolverTrace>> = run
-            .iter()
-            .map(|j| {
-                let t = ctl.recorder.solver_trace(format!("fit/response[{j}]/lsqr"));
-                if let Some(t) = &t {
-                    t.set_backend(ctl.backend);
-                }
-                t
-            })
-            .collect();
-        let telemetry: Vec<Option<&SolverTrace>> = traces.iter().map(Option::as_ref).collect();
-        // the whole panel's state, with the columns finished before this
-        // run in their places
-        let merge = |state: Vec<PanelColumn>| -> Vec<PanelColumn> {
-            let mut state = state.into_iter();
-            before
-                .iter()
-                .map(|b| match b {
-                    Some(c) => PanelColumn::Done(c.clone()),
-                    None => state.next().expect("one state per running column"),
-                })
-                .collect()
+impl Srda {
+    /// Solve the `c − 1` damped least-squares problems with lockstep LSQR,
+    /// one panel ([`panel_width`]) after another: each lockstep iteration
+    /// makes one block product pair for the whole panel, and every response
+    /// keeps the trajectory it would have alone. This is every LSQR solve of
+    /// a fit's responses: the configured solver, the ridge ladder's last rung
+    /// and warm-started refits. The responses' outcomes are appended to
+    /// `report`. A diverged response fails the whole fit (see
+    /// [`ensure_converging`]); a governor interrupt returns the partial state
+    /// instead, and writes it, the interrupted panel's per-column state
+    /// included, to the checkpoint file when there is one. A finished fit
+    /// removes that file, so a later run cannot "resume" a done fit.
+    fn solve_lsqr_responses_controlled(
+        &self,
+        op: &dyn LinearOperator,
+        ybar: &Mat,
+        max_iter: usize,
+        tol: f64,
+        mut report: FitReport,
+        ctl: &ResponseControls<'_>,
+    ) -> Result<FitOutcome> {
+        let rec = self.config.recorder;
+        let cfg = LsqrConfig {
+            damp: self.config.alpha.sqrt(),
+            max_iter,
+            tol,
         };
-        // periodic writer: the finished panels plus this panel's state,
-        // refreshed from inside the lockstep loop
-        let writer: Option<CheckpointWriter> = match (ctl.checkpoint, ctl.fingerprint) {
-            (Some((path, every)), Some(fp)) if every > 0 => {
-                let completed = completed.clone();
-                let warnings = report.warnings.clone();
-                let path = path.to_path_buf();
-                Some(Box::new(move |state: &[PanelColumn]| {
-                    let snapshot = FitCheckpoint {
-                        fingerprint: fp,
-                        completed: completed.clone(),
-                        panel: merge(state.to_vec()),
-                        warnings: warnings.clone(),
-                    };
-                    // periodic persistence is best-effort: a full disk
-                    // must not kill an otherwise-healthy fit (the
-                    // interrupt-time write in fit_lsqr_outcome is the
-                    // one that reports failures)
-                    let _ = snapshot.write_atomic(&path);
-                }))
-            }
-            _ => None,
-        };
-        let controls = PanelControls {
-            governor: ctl.governor,
-            resume: (!resume.is_empty()).then_some(resume.as_slice()),
-            checkpoint_every: ctl.checkpoint.map_or(0, |(_, every)| every),
-            on_checkpoint: writer.as_deref(),
-            telemetry: &telemetry,
-        };
-        let panel_op = PanelOp {
+        let k = ybar.ncols();
+        let p_max = panel_width(op, k);
+        // a resumed fit keeps the checkpoint's layout up to its interrupted
+        // panel: the completed columns (only certified here), that panel,
+        // then the rest in fresh panels
+        let (start, carried_len) = ctl
+            .resume
+            .as_ref()
+            .map_or((0, 0), |c| (c.completed.len(), c.panel.len()));
+        let mut panels = lsqr_panels(0..start, p_max);
+        let first = panels.len();
+        if carried_len > 0 {
+            panels.push(start..start + carried_len);
+        }
+        panels.extend(lsqr_panels(start + carried_len..k, p_max));
+        let passes = rec.counter("lsqr.operator_passes");
+        let panel_op = |panel| PanelOp {
             inner: op,
-            recorder: ctl.recorder,
-            panel: i,
+            recorder: rec,
+            panel,
             passes: &passes,
         };
-        let results = lsqr_panel(&panel_op, &rhs, w.as_mut_slice(), k, &run, &cfg, &controls);
+        let mut w = Mat::zeros(op.ncols(), k);
+        let mut total_iters = 0;
+        // the columns of every finished panel, kept for checkpoints
+        let mut completed: Vec<CompletedResponse> = Vec::new();
+        let mut carried: Vec<PanelColumn> = Vec::new();
+        if let Some(ckpt) = &ctl.resume {
+            for (j, c) in ckpt.completed.iter().enumerate() {
+                w.set_col(j, &c.x);
+                total_iters += c.iterations;
+            }
+            // the certificate is a pure function of the persisted iterate, so
+            // recomputing it reproduces the original run's value bitwise (any
+            // suspect-warning text rides in ckpt.warnings)
+            for (i, cols) in panels[..first].iter().enumerate() {
+                let certs = panel_op(i).certify(ybar, &w, cols.clone(), cfg.damp);
+                report.certificates.extend(certs);
+            }
+            report
+                .responses
+                .extend(ckpt.completed.iter().map(|c| ResponseSolver::Lsqr {
+                    iterations: c.iterations,
+                    stop: c.stop,
+                }));
+            report.warnings.extend(ckpt.warnings.iter().cloned());
+            completed = ckpt.completed.clone();
+            carried = ckpt.panel.clone();
+        }
 
-        // the panel in column order: (iterations, stop, residual) of the
-        // columns finished before this run and of this run's columns
-        let mut from_run = results.iter();
-        let ends: Vec<(usize, StopReason, f64)> = before
-            .iter()
-            .map(|b| match b {
-                Some(c) => (c.iterations, c.stop, c.residual_norm),
-                None => {
-                    let r = from_run.next().expect("one result per running column");
-                    (r.iterations, r.stop, r.residual_norm)
+        for (i, cols) in panels.iter().enumerate().skip(first) {
+            let _span = srda_obs::span!(rec, "fit/lsqr/panel[{i}]");
+            // columns a resumed panel had already finished stay as they were
+            let mut before: Vec<Option<CompletedResponse>> = vec![None; cols.len()];
+            let mut resume = Vec::new();
+            for (pos, col) in std::mem::take(&mut carried).into_iter().enumerate() {
+                match col {
+                    PanelColumn::Done(c) => {
+                        w.set_col(cols.start + pos, &c.x);
+                        before[pos] = Some(c);
+                    }
+                    PanelColumn::Running(state) => resume.push(state),
                 }
-            })
-            .collect();
-        total_iters += ends.iter().map(|e| e.0).sum::<usize>();
-        for &(_, stop, _) in &ends {
-            ensure_converging(stop)?;
-        }
-        if let Some(reason) = results.iter().find_map(|r| match r.stop {
-            StopReason::Interrupted(reason) => Some(reason),
-            _ => None,
-        }) {
-            let mut state = Vec::with_capacity(run.len());
-            for (&j, r) in run.iter().zip(&results) {
-                state.push(match (&r.stop, &r.checkpoint) {
-                    (StopReason::Interrupted(_), Some(s)) => PanelColumn::Running((**s).clone()),
-                    (StopReason::Interrupted(_), None) => continue,
-                    _ => PanelColumn::Done(CompletedResponse {
-                        x: w.col(j),
-                        iterations: r.iterations,
-                        stop: r.stop,
-                        residual_norm: r.residual_norm,
-                    }),
-                });
             }
-            // without every running column's state (a kill with no
-            // governor or periodic checkpoints), the panel restarts from
-            // scratch on resume, its finished columns included
-            let panel = if state.len() == run.len() {
-                merge(state)
-            } else {
-                Vec::new()
-            };
-            let kept = panel
+            let run: Vec<usize> = cols
+                .clone()
+                .filter(|j| before[j - cols.start].is_none())
+                .collect();
+            let rhs: Vec<Vec<f64>> = run.iter().map(|&j| ybar.col(j)).collect();
+            let rhs: Vec<&[f64]> = rhs.iter().map(Vec::as_slice).collect();
+            let traces: Vec<Option<SolverTrace>> = run
                 .iter()
-                .filter(|c| matches!(c, PanelColumn::Done(_)))
-                .count();
-            let checkpoint = ctl.fingerprint.map(|fp| {
-                Box::new(FitCheckpoint {
-                    fingerprint: fp,
-                    completed,
-                    panel,
-                    warnings: report.warnings.clone(),
+                .map(|j| {
+                    let t = rec.solver_trace(format!("fit/response[{j}]/lsqr"));
+                    if let Some(t) = &t {
+                        t.set_backend(self.executor().backend_name());
+                    }
+                    t
                 })
-            });
-            return Ok(ResponsesOutcome::Interrupted {
-                reason,
-                report,
-                responses_completed: cols.start + kept,
-                iterations: total_iters,
-                checkpoint,
-            });
-        }
+                .collect();
+            let telemetry: Vec<Option<&SolverTrace>> = traces.iter().map(Option::as_ref).collect();
+            let starts: Vec<Vec<f64>> = ctl
+                .x0
+                .map_or_else(Vec::new, |x0| run.iter().map(|&j| x0.col(j)).collect());
+            let starts: Vec<&[f64]> = starts.iter().map(Vec::as_slice).collect();
+            // the whole panel's state, with the columns finished before this
+            // run in their places
+            let merge = |state: Vec<PanelColumn>| -> Vec<PanelColumn> {
+                let mut state = state.into_iter();
+                before
+                    .iter()
+                    .map(|b| match b {
+                        Some(c) => PanelColumn::Done(c.clone()),
+                        None => state.next().expect("one state per running column"),
+                    })
+                    .collect()
+            };
+            // periodic writer: the finished panels plus this panel's state,
+            // refreshed from inside the lockstep loop
+            let writer: Option<CheckpointWriter> = match (ctl.checkpoint, ctl.fingerprint) {
+                (Some((path, every)), Some(fp)) if every > 0 => {
+                    let completed = completed.clone();
+                    let warnings = report.warnings.clone();
+                    let path = path.to_path_buf();
+                    Some(Box::new(move |state: &[PanelColumn]| {
+                        let snapshot = FitCheckpoint {
+                            fingerprint: fp,
+                            completed: completed.clone(),
+                            panel: merge(state.to_vec()),
+                            warnings: warnings.clone(),
+                        };
+                        // periodic persistence is best-effort: a full disk
+                        // must not kill an otherwise-healthy fit (the
+                        // interrupt-time write below is the one that reports
+                        // failures)
+                        let _ = snapshot.write_atomic(&path);
+                    }))
+                }
+                _ => None,
+            };
+            let controls = PanelControls {
+                governor: self.config.governor.as_ref(),
+                resume: (!resume.is_empty()).then_some(resume.as_slice()),
+                checkpoint_every: ctl.checkpoint.map_or(0, |(_, every)| every),
+                on_checkpoint: writer.as_deref(),
+                telemetry: &telemetry,
+                x0: ctl.x0.map(|_| starts.as_slice()),
+            };
+            let panel_op = panel_op(i);
+            let results = lsqr_panel(&panel_op, &rhs, w.as_mut_slice(), k, &run, &cfg, &controls);
 
-        let certs = panel_op.certify(ybar, &w, cols.clone(), cfg.damp);
-        for ((j, (iterations, stop, residual)), cert) in cols.clone().zip(ends).zip(certs) {
-            record_lsqr_response(&mut report, j, iterations, stop, residual, tol, cert);
-            if ctl.fingerprint.is_some() {
-                completed.push(CompletedResponse {
-                    x: w.col(j),
-                    iterations,
-                    stop,
-                    residual_norm: residual,
-                });
+            // the panel in column order: (iterations, stop, residual) of the
+            // columns finished before this run and of this run's columns
+            let mut from_run = results.iter();
+            let ends: Vec<(usize, StopReason, f64)> = before
+                .iter()
+                .map(|b| match b {
+                    Some(c) => (c.iterations, c.stop, c.residual_norm),
+                    None => {
+                        let r = from_run.next().expect("one result per running column");
+                        (r.iterations, r.stop, r.residual_norm)
+                    }
+                })
+                .collect();
+            total_iters += ends.iter().map(|e| e.0).sum::<usize>();
+            for &(_, stop, _) in &ends {
+                ensure_converging(stop)?;
+            }
+            if let Some(reason) = results.iter().find_map(|r| match r.stop {
+                StopReason::Interrupted(reason) => Some(reason),
+                _ => None,
+            }) {
+                let mut state = Vec::with_capacity(run.len());
+                for (&j, r) in run.iter().zip(&results) {
+                    state.push(match (&r.stop, &r.checkpoint) {
+                        (StopReason::Interrupted(_), Some(s)) => {
+                            PanelColumn::Running((**s).clone())
+                        }
+                        (StopReason::Interrupted(_), None) => continue,
+                        _ => PanelColumn::Done(CompletedResponse {
+                            x: w.col(j),
+                            iterations: r.iterations,
+                            stop: r.stop,
+                            residual_norm: r.residual_norm,
+                        }),
+                    });
+                }
+                // without every running column's state (a kill with no
+                // governor or periodic checkpoints), the panel restarts from
+                // scratch on resume, its finished columns included
+                let panel = if state.len() == run.len() {
+                    merge(state)
+                } else {
+                    Vec::new()
+                };
+                let kept = panel
+                    .iter()
+                    .filter(|c| matches!(c, PanelColumn::Done(_)))
+                    .count();
+                let mut checkpoint = None;
+                if let (Some((path, _)), Some(fingerprint)) = (ctl.checkpoint, ctl.fingerprint) {
+                    let warnings = report.warnings.clone();
+                    let state = FitCheckpoint {
+                        fingerprint,
+                        completed,
+                        panel,
+                        warnings,
+                    };
+                    state.write_atomic(path)?;
+                    checkpoint = Some(path.to_path_buf());
+                }
+                report.interrupt = Some(reason);
+                report.refresh_certificate_summary();
+                if ctl.fallback {
+                    report.responses.fill(ResponseSolver::LsqrFallback);
+                }
+                return Ok(FitOutcome::Interrupted(InterruptedFit {
+                    reason,
+                    report,
+                    responses_completed: cols.start + kept,
+                    total_responses: k,
+                    iterations: total_iters,
+                    checkpoint,
+                }));
+            }
+
+            let certs = panel_op.certify(ybar, &w, cols.clone(), cfg.damp);
+            for ((j, (iterations, stop, residual)), cert) in cols.clone().zip(ends).zip(certs) {
+                record_lsqr_response(&mut report, j, iterations, stop, residual, tol, cert);
+                if ctl.fingerprint.is_some() {
+                    completed.push(CompletedResponse {
+                        x: w.col(j),
+                        iterations,
+                        stop,
+                        residual_norm: residual,
+                    });
+                }
             }
         }
+        if let Some((path, _)) = ctl.checkpoint {
+            let _ = std::fs::remove_file(path);
+        }
+        if ctl.fallback {
+            report.responses.fill(ResponseSolver::LsqrFallback);
+        }
+        Ok(FitOutcome::Complete(self.finish(w, total_iters, report)))
     }
-    Ok(ResponsesOutcome::Done {
-        w,
-        iterations: total_iters,
-        report,
-    })
 }
 
 impl SrdaModel {
@@ -1836,6 +1555,48 @@ mod tests {
             warm.lsqr_iterations(),
             cold.lsqr_iterations()
         );
+    }
+
+    #[test]
+    fn incremental_refit_runs_the_traced_response_loop_and_writes_no_checkpoint() {
+        let (x, y) = three_blobs();
+        let xs = CsrMatrix::from_dense(&x, 0.0);
+        let prev = Srda::new(SrdaConfig::lsqr_default())
+            .fit_sparse(&xs, &y)
+            .unwrap();
+        let plain = Srda::new(SrdaConfig::default())
+            .fit_sparse_incremental(&xs, &y, &prev, 50, 1e-10)
+            .unwrap();
+        let dir = scratch("warm");
+        let rec = Recorder::new_enabled();
+        let warm = Srda::new(SrdaConfig {
+            checkpoint: Some(CheckpointPolicy {
+                dir: dir.clone(),
+                every: 1,
+            }),
+            recorder: rec,
+            ..SrdaConfig::default()
+        })
+        .fit_sparse_incremental(&xs, &y, &prev, 50, 1e-10)
+        .unwrap();
+        // a warm start is not resumable: the policy only earns a warning
+        assert!(warm
+            .fit_report()
+            .warnings
+            .iter()
+            .any(|w| w.contains("checkpointing")));
+        assert!(!dir.join(FIT_CHECKPOINT_FILE).exists());
+        assert_eq!(
+            bits(plain.embedding().weights()),
+            bits(warm.embedding().weights())
+        );
+        let report = rec.snapshot();
+        assert!(report.spans.iter().all(|s| s.path.starts_with("fit")));
+        assert!(report.spans.iter().any(|s| s.path == "fit/lsqr/panel[1]"));
+        let labels: Vec<&str> = report.traces.iter().map(|t| t.label.as_str()).collect();
+        assert_eq!(labels, ["fit/response[0]/lsqr", "fit/response[1]/lsqr"]);
+        assert_eq!(warm.fit_report().certificates.len(), 2);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -2547,19 +2308,20 @@ mod tests {
     #[test]
     fn governed_fit_that_finishes_matches_ungoverned_bitwise() {
         let (x, y) = three_blobs();
-        let plain = Srda::new(SrdaConfig::lsqr_default())
+        for cfg in [SrdaConfig::lsqr_default(), SrdaConfig::default()] {
+            let plain = Srda::new(cfg.clone()).fit_dense(&x, &y).unwrap();
+            let governed = Srda::new(SrdaConfig {
+                governor: Some(RunGovernor::with_budget(RunBudget::with_iter_cap(10_000))),
+                ..cfg
+            })
             .fit_dense(&x, &y)
             .unwrap();
-        let governed = Srda::new(SrdaConfig {
-            governor: Some(RunGovernor::with_budget(RunBudget::with_iter_cap(10_000))),
-            ..SrdaConfig::lsqr_default()
-        })
-        .fit_dense(&x, &y)
-        .unwrap();
-        assert_eq!(
-            bits(plain.embedding().weights()),
-            bits(governed.embedding().weights()),
-            "governance must only observe, never perturb the trajectory"
-        );
+            assert_eq!(
+                bits(plain.embedding().weights()),
+                bits(governed.embedding().weights()),
+                "governance must only observe, never perturb the trajectory"
+            );
+            assert!(governed.fit_report().clean());
+        }
     }
 }

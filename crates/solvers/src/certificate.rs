@@ -486,7 +486,10 @@ mod tests {
         // Solve the damped problem exactly via the primal normal equations.
         let solver = crate::ridge::RidgeSolver::primal(&a, damp * damp).unwrap();
         let y: Vec<f64> = (0..6).map(|i| (i as f64) - 2.0).collect();
-        let x = solver.solve_vec(&a, &y).unwrap();
+        let x = solver
+            .solve(&a, &Mat::from_vec(6, 1, y.clone()).unwrap())
+            .unwrap()
+            .col(0);
         let cert = certify_operator(&a, &y, &x, damp);
         assert_eq!(cert.certified, CertStatus::Certified);
         assert!(cert.backward_error <= 1e-12, "{:e}", cert.backward_error);

@@ -20,12 +20,11 @@
 //! * [`ridge`] — direct solvers: primal normal equations
 //!   `(XᵀX + αI)a = Xᵀȳ` via Cholesky, and the dual form
 //!   `(XXᵀ + αI)u = ȳ, a = Xᵀu` (paper Eqn 21) that is cheaper when
-//!   `n > m`. An `auto` entry point picks the smaller system.
-//! * [`robust`] — a fault-tolerant wrapper around the direct solvers:
-//!   on `Singular`/non-finite breakdown *or a failed solution
-//!   certificate* it retries with bounded escalating diagonal jitter and
-//!   finally falls back to damped LSQR, reporting every recovery step it
-//!   took.
+//!   `n > m`. [`RidgeSystem`] is SRDA's bias-augmented problem, dense or
+//!   sparse, with its recovery ladder: on `Singular`/non-finite breakdown
+//!   *or a failed solution certificate* it retries with bounded
+//!   escalating diagonal jitter, reporting every recovery step it took,
+//!   before the caller falls back to damped LSQR.
 //! * [`certificate`] — machine-checkable [`SolveCertificate`]s: a
 //!   backward error × condition estimate forward-error bound for direct
 //!   solves (with iterative refinement as the repair step) and a
@@ -48,7 +47,6 @@ pub mod governor;
 pub mod lsqr;
 pub mod operator;
 pub mod ridge;
-pub mod robust;
 
 pub use certificate::{
     certify_operator, certify_operator_block, certify_spd_solve, certify_spd_solves,
@@ -57,12 +55,11 @@ pub use certificate::{
 pub use checkpoint::{CglsCheckpoint, CheckpointError, LsqrCheckpoint, ProblemFingerprint};
 pub use governor::{CancelToken, Interrupt, RunBudget, RunGovernor};
 pub use lsqr::{
-    lsqr, lsqr_controlled, lsqr_panel, lsqr_warm, lsqr_warm_governed, CompletedResponse,
-    LsqrConfig, LsqrResult, PanelColumn, PanelControls, PanelResult, SolveControls, StopReason,
+    lsqr, lsqr_controlled, lsqr_panel, CompletedResponse, LsqrConfig, LsqrResult, PanelColumn,
+    PanelControls, PanelResult, SolveControls, StopReason,
 };
 pub use operator::{AugmentedOp, CenteredOp, ExecCsr, ExecDense, LinearOperator};
-pub use ridge::{RidgeForm, RidgeSolver};
-pub use robust::{
-    factor_ladder, factor_ladder_governed, LadderOutcome, RecoveryAction, RobustConfig,
-    RobustOutcome, RobustRidge, RobustSolveReport, SolverUsed,
+pub use ridge::{
+    factor_ladder_governed, DirectSolve, LadderOutcome, RecoveryAction, RidgeForm, RidgeSolver,
+    RidgeSystem,
 };

@@ -20,8 +20,8 @@ use srda_obs::SolverTrace;
 ///
 /// ## Contract
 ///
-/// `damp` and `tol` must be **finite and non-negative**. Both [`lsqr`] and
-/// [`lsqr_warm`] validate this at entry and panic on violation — a
+/// `damp` and `tol` must be **finite and non-negative**. [`lsqr_panel`]
+/// (and so [`lsqr`]) validates this at entry and panics on violation — a
 /// negative or NaN knob is a programming error in the caller, exactly like
 /// a mismatched right-hand-side length, and silently accepting it
 /// previously produced NaN-filled "solutions" with no diagnostic.
@@ -51,7 +51,7 @@ impl Default for LsqrConfig {
 }
 
 impl LsqrConfig {
-    /// Enforce the documented contract; called by [`lsqr`]/[`lsqr_warm`].
+    /// Enforce the documented contract; called by [`lsqr_panel`].
     fn validate(&self) {
         assert!(
             self.damp.is_finite() && self.damp >= 0.0,
@@ -218,6 +218,7 @@ pub fn lsqr_controlled<A: LinearOperator + ?Sized>(
         checkpoint_every: ctl.checkpoint_every,
         on_checkpoint: forward.as_ref().map(|f| f as &PanelCheckpointFn),
         telemetry: &telemetry,
+        x0: None,
     };
     let r = lsqr_panel(a, &[b], &mut x, 1, &[0], cfg, &panel)
         .pop()
@@ -279,6 +280,11 @@ pub struct PanelControls<'a> {
     pub on_checkpoint: Option<&'a PanelCheckpointFn<'a>>,
     /// One telemetry channel per right-hand side (empty for none).
     pub telemetry: &'a [Option<&'a SolverTrace>],
+    /// Start every column from its `x0` (one per right-hand side) instead
+    /// of zero — e.g. the weights of a closely related earlier problem,
+    /// when refitting after appending samples. A warm start is not
+    /// resumable: it takes no `resume` states and emits no checkpoints.
+    pub x0: Option<&'a [&'a [f64]]>,
 }
 
 /// How one column of a [`lsqr_panel`] solve ended. The fields mean what
@@ -326,13 +332,33 @@ pub fn lsqr_panel<A: LinearOperator + ?Sized>(
     cfg: &LsqrConfig,
     ctl: &PanelControls,
 ) -> Vec<PanelResult> {
+    assert_eq!(
+        xcols.len(),
+        b.len(),
+        "one output column per right-hand side"
+    );
+    match ctl.x0 {
+        Some(x0) => warm_panel(a, b, x0, x, ldx, xcols, cfg, ctl),
+        None => cold_panel(a, b, x, ldx, xcols, cfg, ctl),
+    }
+}
+
+/// [`lsqr_panel`] from `x = 0`.
+fn cold_panel<A: LinearOperator + ?Sized>(
+    a: &A,
+    b: &[&[f64]],
+    x: &mut [f64],
+    ldx: usize,
+    xcols: &[usize],
+    cfg: &LsqrConfig,
+    ctl: &PanelControls,
+) -> Vec<PanelResult> {
     let p = b.len();
-    assert_eq!(xcols.len(), p, "one output column per right-hand side");
     if p == 1 && ldx > 1 {
         // a lone right-hand side iterates on a contiguous x, so every
         // update takes the flat loop; it lands in its column at the end
         let mut xs = vec![0.0; a.ncols()];
-        let results = lsqr_panel(a, b, &mut xs, 1, &[0], cfg, ctl);
+        let results = cold_panel(a, b, &mut xs, 1, &[0], cfg, ctl);
         for (i, xi) in xs.into_iter().enumerate() {
             x[i * ldx + xcols[0]] = xi;
         }
@@ -1102,85 +1128,98 @@ impl<A: LinearOperator + ?Sized> LinearOperator for DampedStackOp<'_, A> {
             *yi += self.damp * bi;
         }
     }
+    // The block forms keep the inner operator's own (possibly one-pass)
+    // block products; row-major blocks stack like vectors.
+    fn apply_block_into(&self, x: &[f64], p: usize, y: &mut [f64]) {
+        let (top, bottom) = y.split_at_mut(self.inner.nrows() * p);
+        self.inner.apply_block_into(x, p, top);
+        for (bi, xi) in bottom.iter_mut().zip(x) {
+            *bi = self.damp * xi;
+        }
+    }
+    fn apply_t_block_into(&self, x: &[f64], p: usize, y: &mut [f64]) {
+        let (top, bottom) = x.split_at(self.inner.nrows() * p);
+        self.inner.apply_t_block_into(top, p, y);
+        for (yi, bi) in y.iter_mut().zip(bottom) {
+            *yi += self.damp * bi;
+        }
+    }
+    fn shares_block_passes(&self) -> bool {
+        self.inner.shares_block_passes()
+    }
 }
 
-/// Warm-started damped LSQR: solve `min ‖A·x − b‖² + damp²·‖x‖²` starting
-/// from `x0` (e.g. the solution of a closely related earlier problem —
-/// incremental retraining after appending samples). Internally solves the
-/// equivalent stacked least-squares problem for the correction `d`:
+/// [`lsqr_panel`] from the starts `x0`: each column solves the equivalent
+/// stacked least-squares problem for its correction `d`,
 ///
 /// ```text
 /// min ‖ [A; damp·I]·d − [b − A·x0; −damp·x0] ‖²,   x = x0 + d
 /// ```
 ///
-/// With a good `x0` the correction is small and LSQR needs far fewer
-/// iterations than a cold start for the same residual.
-///
-/// A non-finite `x0` or `b` is rejected up front with
-/// [`StopReason::Diverged`] and `x = 0` — warm-starting from a poisoned
-/// previous model must not smuggle its NaNs into the new one. `cfg` obeys
-/// the [`LsqrConfig`] contract (finite, non-negative `damp`/`tol`),
-/// enforced by panic. `damp = 0` is a fully supported configuration: the
-/// stacked rows vanish and the solve degenerates to plain warm-started
-/// least squares.
-pub fn lsqr_warm<A: LinearOperator + ?Sized>(
+/// with `damp = 0` (the damping is inside the stacked operator). With a
+/// good `x0` the correction is small and LSQR needs far fewer iterations
+/// than a cold start for the same residual. A non-finite `x0` or `b`
+/// poisons its stacked right-hand side, so that column stops
+/// [`StopReason::Diverged`] with `x = 0` before any iteration — a poisoned
+/// previous model must not smuggle its NaNs into the new one.
+#[allow(clippy::too_many_arguments)]
+fn warm_panel<A: LinearOperator + ?Sized>(
     a: &A,
-    b: &[f64],
-    x0: &[f64],
+    b: &[&[f64]],
+    x0: &[&[f64]],
+    x: &mut [f64],
+    ldx: usize,
+    xcols: &[usize],
     cfg: &LsqrConfig,
-) -> LsqrResult {
-    lsqr_warm_governed(a, b, x0, cfg, None)
-}
-
-/// [`lsqr_warm`] under a [`RunGovernor`]: the inner stacked solve checks
-/// the budget at every iteration boundary, exactly like
-/// [`lsqr_controlled`]. Warm starts are **not checkpointable** — the
-/// internal correction problem's state is meaningless outside this call,
-/// so the result's `checkpoint` is always `None`; interrupted incremental
-/// refits simply rerun from their (still valid) `x0`.
-pub fn lsqr_warm_governed<A: LinearOperator + ?Sized>(
-    a: &A,
-    b: &[f64],
-    x0: &[f64],
-    cfg: &LsqrConfig,
-    governor: Option<&RunGovernor>,
-) -> LsqrResult {
-    assert_eq!(b.len(), a.nrows(), "rhs length must equal operator rows");
-    assert_eq!(x0.len(), a.ncols(), "x0 length must equal operator cols");
-    cfg.validate();
-    if !x0.iter().all(|v| v.is_finite()) || !b.iter().all(|v| v.is_finite()) {
-        return LsqrResult {
-            x: vec![0.0; a.ncols()],
-            iterations: 0,
-            residual_norm: f64::INFINITY,
-            stop: StopReason::Diverged,
-            residual_trace: vec![],
-            checkpoint: None,
-        };
+    ctl: &PanelControls,
+) -> Vec<PanelResult> {
+    let (m, n, p) = (a.nrows(), a.ncols(), b.len());
+    assert_eq!(x0.len(), p, "one x0 per right-hand side");
+    assert!(ctl.resume.is_none(), "a warm start is not resumable");
+    for (bj, x0j) in b.iter().zip(x0) {
+        assert_eq!(bj.len(), m, "rhs length must equal operator rows");
+        assert_eq!(x0j.len(), n, "x0 length must equal operator cols");
     }
+    cfg.validate();
+    // A·X0 for the whole panel in one block product
+    let starts: Vec<f64> = (0..n).flat_map(|i| x0.iter().map(move |c| c[i])).collect();
+    let mut ax0 = vec![0.0; m * p];
+    a.apply_block_into(&starts, p, &mut ax0);
+    let rhs: Vec<Vec<f64>> = (0..p)
+        .map(|j| {
+            let ax0j = ax0.iter().skip(j).step_by(p);
+            let mut r: Vec<f64> = b[j].iter().zip(ax0j).map(|(bi, ai)| bi - ai).collect();
+            r.extend(x0[j].iter().map(|v| -cfg.damp * v));
+            r
+        })
+        .collect();
+    let rhs: Vec<&[f64]> = rhs.iter().map(Vec::as_slice).collect();
     let stacked = DampedStackOp {
         inner: a,
         damp: cfg.damp,
     };
-    let ax0 = a.apply(x0);
-    let mut rhs: Vec<f64> = b.iter().zip(&ax0).map(|(bi, ai)| bi - ai).collect();
-    rhs.extend(x0.iter().map(|v| -cfg.damp * v));
     let inner_cfg = LsqrConfig {
-        damp: 0.0, // damping is inside the stacked operator now
+        damp: 0.0,
         ..cfg.clone()
     };
-    let ctl = SolveControls {
-        governor,
-        ..SolveControls::default()
+    let inner_ctl = PanelControls {
+        on_checkpoint: None,
+        ..*ctl
     };
-    let mut result = lsqr_controlled(&stacked, &rhs, &inner_cfg, &ctl);
-    for (xi, x0i) in result.x.iter_mut().zip(x0) {
-        *xi += x0i;
+    let mut results = cold_panel(&stacked, &rhs, x, ldx, xcols, &inner_cfg, &inner_ctl);
+    for (j, r) in results.iter_mut().enumerate() {
+        // the correction problem's state means nothing outside this call
+        r.checkpoint = None;
+        if r.stop != StopReason::Diverged {
+            for (i, x0i) in x0[j].iter().enumerate() {
+                x[i * ldx + xcols[j]] += x0i;
+            }
+        }
+        if let Some(t) = ctl.telemetry.get(j).copied().flatten() {
+            t.set_solver("lsqr", cfg.damp);
+        }
     }
-    // the inner checkpoint describes the stacked correction problem, not
-    // (A, b): never leak it to callers
-    result.checkpoint = None;
-    result
+    results
 }
 
 #[cfg(test)]
@@ -1194,6 +1233,37 @@ mod tests {
             let x = (i as f64 * 12.9898 + j as f64 * 78.233).sin() * 43758.5453;
             x - x.floor() - 0.5
         })
+    }
+
+    /// A warm-started solve: the one-column [`lsqr_panel`] from `x0`.
+    fn warm_start_governed(
+        a: &Mat,
+        b: &[f64],
+        x0: &[f64],
+        cfg: &LsqrConfig,
+        governor: Option<&RunGovernor>,
+    ) -> LsqrResult {
+        let mut x = vec![0.0; a.ncols()];
+        let ctl = PanelControls {
+            governor,
+            x0: Some(&[x0]),
+            ..PanelControls::default()
+        };
+        let r = lsqr_panel(a, &[b], &mut x, 1, &[0], cfg, &ctl)
+            .pop()
+            .unwrap();
+        LsqrResult {
+            x,
+            iterations: r.iterations,
+            residual_norm: r.residual_norm,
+            stop: r.stop,
+            residual_trace: r.residual_trace,
+            checkpoint: r.checkpoint,
+        }
+    }
+
+    fn warm_start(a: &Mat, b: &[f64], x0: &[f64], cfg: &LsqrConfig) -> LsqrResult {
+        warm_start_governed(a, b, x0, cfg, None)
     }
 
     fn ridge_oracle(a: &Mat, b: &[f64], alpha: f64) -> Vec<f64> {
@@ -1429,7 +1499,7 @@ mod tests {
         // warm start from an arbitrary point still converges to the same
         // unique ridge solution
         let x0: Vec<f64> = (0..7).map(|i| (i as f64) - 3.0).collect();
-        let warm = lsqr_warm(&a, &b, &x0, &cfg);
+        let warm = warm_start(&a, &b, &x0, &cfg);
         for (u, v) in warm.x.iter().zip(&cold.x) {
             assert!((u - v).abs() < 1e-7, "{u} vs {v}");
         }
@@ -1446,7 +1516,7 @@ mod tests {
             max_iter: 100,
             tol: 1e-10,
         };
-        let warm = lsqr_warm(&a, &b, &oracle, &cfg);
+        let warm = warm_start(&a, &b, &oracle, &cfg);
         assert!(
             warm.iterations <= 3,
             "took {} iterations from the exact solution",
@@ -1472,7 +1542,7 @@ mod tests {
             tol: 1e-8,
         };
         let cold = lsqr(&a, &b, &cfg);
-        let warm = lsqr_warm(&a, &b, &x0, &cfg);
+        let warm = warm_start(&a, &b, &x0, &cfg);
         assert!(
             warm.iterations < cold.iterations,
             "warm {} vs cold {}",
@@ -1485,7 +1555,7 @@ mod tests {
     #[should_panic(expected = "x0 length")]
     fn warm_start_x0_length_checked() {
         let a = noise_mat(4, 3);
-        let _ = lsqr_warm(&a, &[1.0; 4], &[0.0; 2], &LsqrConfig::default());
+        let _ = warm_start(&a, &[1.0; 4], &[0.0; 2], &LsqrConfig::default());
     }
 
     #[test]
@@ -1520,7 +1590,7 @@ mod tests {
     #[should_panic(expected = "damp must be finite and non-negative")]
     fn warm_start_validates_config_too() {
         let a = noise_mat(4, 3);
-        let _ = lsqr_warm(
+        let _ = warm_start(
             &a,
             &[1.0; 4],
             &[0.0; 3],
@@ -1592,7 +1662,7 @@ mod tests {
             max_iter: 300,
             tol: 1e-14,
         };
-        let r = lsqr_warm(&a, &b, &x0, &cfg);
+        let r = warm_start(&a, &b, &x0, &cfg);
         assert!(r.x.iter().all(|v| v.is_finite()));
         let oracle = ridge_oracle(&a, &b, 0.0);
         for (u, v) in r.x.iter().zip(&oracle) {
@@ -1606,7 +1676,7 @@ mod tests {
         let b = vec![1.0; 6];
         let mut x0 = vec![0.0; 4];
         x0[1] = f64::NAN;
-        let r = lsqr_warm(&a, &b, &x0, &LsqrConfig::default());
+        let r = warm_start(&a, &b, &x0, &LsqrConfig::default());
         assert_eq!(r.stop, StopReason::Diverged);
         assert_eq!(r.iterations, 0);
         assert!(
@@ -1873,7 +1943,7 @@ mod tests {
 
     #[test]
     fn governed_warm_start_interrupts_without_checkpoint() {
-        use crate::governor::{RunBudget, RunGovernor};
+        use crate::governor::RunBudget;
         let a = noise_mat(16, 7);
         let b: Vec<f64> = (0..16).map(|i| (i as f64 * 0.53).sin()).collect();
         let x0 = vec![0.1; 7];
@@ -1883,7 +1953,7 @@ mod tests {
             tol: 0.0,
         };
         let g = RunGovernor::with_budget(RunBudget::with_iter_cap(4));
-        let r = lsqr_warm_governed(&a, &b, &x0, &cfg, Some(&g));
+        let r = warm_start_governed(&a, &b, &x0, &cfg, Some(&g));
         assert_eq!(
             r.stop,
             StopReason::Interrupted(Interrupt::IterBudgetExhausted)

@@ -144,9 +144,14 @@ fn warm_start_converges_to_same_ridge_solution() {
         let x0: Vec<f64> = (0..a.ncols())
             .map(|i| (i as f64 * 0.77).sin() * 2.0)
             .collect();
-        let warm = srda_solvers::lsqr::lsqr_warm(&a, &b, &x0, &cfg);
+        let mut warm = vec![0.0; a.ncols()];
+        let ctl = srda_solvers::PanelControls {
+            x0: Some(&[&x0]),
+            ..Default::default()
+        };
+        srda_solvers::lsqr_panel(&a, &[&b], &mut warm, 1, &[0], &cfg, &ctl);
         let scale = srda_linalg::vector::norm2(&cold.x).max(1.0);
-        for (u, v) in warm.x.iter().zip(&cold.x) {
+        for (u, v) in warm.iter().zip(&cold.x) {
             assert!((u - v).abs() < 1e-5 * scale, "{u} vs {v}");
         }
     });

@@ -13,6 +13,13 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
+# Size is tracked like performance: print the non-test line count
+# (scripts/loc.sh) and the five largest files. This is a report, not a gate.
+echo "==> non-test lines of code"
+loc=$(scripts/loc.sh)
+echo "$loc" | tail -n 1
+echo "$loc" | sed -n 1,5p
+
 echo "==> cargo clippy (warnings are errors)"
 cargo clippy --offline --locked --workspace --all-targets -- -D warnings
 

@@ -150,7 +150,7 @@ fn hilbert_direct_solve_is_untrustworthy_until_escalation_certifies() {
     );
 
     // Walk the ladder's jitter schedule (base α·10, ×10 per retry, 3
-    // retries — the RobustRidge defaults): a rung must certify, and its
+    // retries — the ridge ladder's constants): a rung must certify, and its
     // backward error must stay at the floor.
     let mut escalations = 0;
     let mut accepted = None;

@@ -17,7 +17,7 @@
 //! Failpoints are thread-local, so every test arms and resets its own
 //! state and stays on one thread.
 
-use srda::{RecoveryAction, ResponseSolver, Srda, SrdaConfig, SrdaError, SrdaSolver};
+use srda::{Recorder, RecoveryAction, ResponseSolver, Srda, SrdaConfig, SrdaError, SrdaSolver};
 use srda_linalg::failpoint;
 use srda_linalg::Mat;
 use srda_sparse::CsrMatrix;
@@ -37,6 +37,133 @@ fn blobs() -> (Mat, Vec<usize>) {
     .unwrap();
     let y = vec![0, 0, 0, 0, 1, 1, 1, 1];
     (x, y)
+}
+
+/// Three classes in 4-D, `per_class` samples each: the fixture
+/// `tests/telemetry_golden.rs` sizes its span-coverage fit with.
+fn three_blobs(per_class: usize) -> (Mat, Vec<usize>) {
+    let centers = [
+        [0.0, 0.0, 0.0, 0.0],
+        [5.0, 0.0, 5.0, 0.0],
+        [0.0, 5.0, 0.0, 5.0],
+    ];
+    let mut rows = Vec::new();
+    let mut y = Vec::new();
+    for (k, c) in centers.iter().enumerate() {
+        for s in 0..per_class {
+            let noise = |d: usize| {
+                let x = ((k * 31 + s * 7 + d * 13) as f64 * 12.9898).sin() * 43758.5453;
+                (x - x.floor() - 0.5) * 0.3
+            };
+            rows.push((0..4).map(|d| c[d] + noise(d)).collect::<Vec<_>>());
+            y.push(k);
+        }
+    }
+    (Mat::from_rows(&rows).unwrap(), y)
+}
+
+#[test]
+fn ladder_spans_nest_under_fit_on_every_rung() {
+    let (x, y) = three_blobs(120);
+    let xs = CsrMatrix::from_dense(&x, 0.0);
+    for sparse in [false, true] {
+        // 0: the clean direct rung; 4: every factorization fails, so the
+        // fit lands on the LSQR rung
+        for forced in [0, 4] {
+            failpoint::reset();
+            failpoint::arm("cholesky.singular", forced);
+            let rec = Recorder::new_enabled();
+            let srda = Srda::new(SrdaConfig {
+                recorder: rec,
+                ..SrdaConfig::default()
+            });
+            let model = if sparse {
+                srda.fit_sparse(&xs, &y)
+            } else {
+                srda.fit_dense(&x, &y)
+            }
+            .unwrap();
+            failpoint::reset();
+            let tag = format!("sparse = {sparse}, forced failures = {forced}");
+            let report = rec.snapshot();
+            for s in &report.spans {
+                assert!(
+                    s.path == "fit" || s.path.starts_with("fit/"),
+                    "{tag}: span {} is outside fit",
+                    s.path
+                );
+            }
+            let coverage = report.span_coverage("fit").unwrap();
+            assert!(coverage >= 0.95, "{tag}: span coverage {coverage:.3}");
+            let has = |path: &str| report.spans.iter().any(|s| s.path == path);
+            let counter = |name: &str| report.counters.get(name).copied().unwrap_or(0);
+            assert!(has("fit/gram") && has("fit/factor"), "{tag}");
+            if forced == 0 {
+                assert!(has("fit/backsub") && has("fit/certify"), "{tag}");
+                assert_eq!(counter("ladder.attempts"), 1, "{tag}");
+                assert_eq!(counter("ladder.lsqr_fallback"), 0, "{tag}");
+                assert!(report.traces.is_empty(), "{tag}");
+                assert!(model.fit_report().clean(), "{tag}");
+            } else {
+                assert_eq!(counter("ladder.attempts"), 4, "{tag}");
+                assert_eq!(counter("ladder.lsqr_fallback"), 1, "{tag}");
+                assert!(
+                    has("fit/lsqr/panel[0]") && has("fit/lsqr/panel[1]"),
+                    "{tag}"
+                );
+                let labels: Vec<&str> = report.traces.iter().map(|t| t.label.as_str()).collect();
+                assert_eq!(labels, ["fit/response[0]/lsqr", "fit/response[1]/lsqr"]);
+                let rep = model.fit_report();
+                assert!(rep
+                    .responses
+                    .iter()
+                    .all(|s| *s == ResponseSolver::LsqrFallback));
+            }
+        }
+    }
+}
+
+#[test]
+fn a_jittered_rung_solves_the_problem_at_alpha_plus_ten_alpha() {
+    // the first jitter rung loads 10α on top of α: its weights are the
+    // clean fit's at 11α, whichever breakdown forced the retry
+    let (x, y) = three_blobs(6);
+    let xs = CsrMatrix::from_dense(&x, 0.0);
+    let at = |alpha: f64| SrdaConfig {
+        alpha,
+        ..SrdaConfig::default()
+    };
+    for failure in ["cholesky.singular", "cond.inflate"] {
+        for sparse in [false, true] {
+            let fit = |cfg: SrdaConfig| {
+                let srda = Srda::new(cfg);
+                if sparse {
+                    srda.fit_sparse(&xs, &y)
+                } else {
+                    srda.fit_dense(&x, &y)
+                }
+                .unwrap()
+            };
+            let oracle = fit(at(5.5));
+            failpoint::reset();
+            failpoint::arm(failure, 1);
+            let jittered = fit(at(0.5));
+            assert_eq!(failpoint::fired(failure), 1);
+            failpoint::reset();
+            let rep = jittered.fit_report();
+            assert_eq!(
+                rep.recoveries,
+                [RecoveryAction::JitterRetry { jitter: 5.0 }]
+            );
+            assert!(rep.certificates.iter().all(|c| !c.is_suspect()));
+            let (w, wo) = (jittered.embedding().weights(), oracle.embedding().weights());
+            assert!(
+                w.approx_eq(wo, 1e-10),
+                "{failure}, sparse = {sparse}: {}",
+                w.sub(wo).unwrap().max_abs()
+            );
+        }
+    }
 }
 
 #[test]
