@@ -7,6 +7,13 @@
 //! condition estimate, refinement steps, verdict — and the fit's condition
 //! estimate. A mismatch means the float sequence of that fit changed.
 //!
+//! The two `*_tiled` pins are dense fits large enough to cross every
+//! boundary of the dense product kernels: more than two 256-row packing
+//! chunks (and not a whole number of them), a bias-augmented width `n + 1`
+//! that is a multiple of neither tile side, and nine responses. Their
+//! words are too many to list, so each is pinned as its length and a
+//! 64-bit FNV-1a digest of the words' little-endian bytes.
+//!
 //! To regenerate after an *intentional* numerical change:
 //!
 //! ```text
@@ -86,6 +93,27 @@ fn dense_primal() -> Vec<u64> {
 fn dense_dual() -> Vec<u64> {
     let (x, y) = blobs(3, 2, 7);
     model_bits(&Srda::new(SrdaConfig::default()).fit_dense(&x, &y).unwrap())
+}
+
+/// 610 × 44 primal fit: `X̃ᵀX̃` is 45 × 45, ten classes.
+fn dense_primal_tiled() -> Vec<u64> {
+    let (x, y) = blobs(10, 61, 44);
+    model_bits(&Srda::new(SrdaConfig::default()).fit_dense(&x, &y).unwrap())
+}
+
+/// 530 × 600 dual fit: the back-projection `X̃ᵀU` sums over 530 rows.
+fn dense_dual_tiled() -> Vec<u64> {
+    let (x, y) = blobs(10, 53, 600);
+    model_bits(&Srda::new(SrdaConfig::default()).fit_dense(&x, &y).unwrap())
+}
+
+/// Word count and FNV-1a digest of `bits`.
+fn digest(bits: &[u64]) -> (usize, u64) {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for byte in bits.iter().flat_map(|b| b.to_le_bytes()) {
+        h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    (bits.len(), h)
 }
 
 fn sparse_dual() -> Vec<u64> {
@@ -175,6 +203,8 @@ const PIN_DENSE_DUAL: &[u64] = &[
     0x0000000000000000,
     0x4054077832715008,
 ];
+const PIN_DENSE_PRIMAL_TILED: (usize, u64) = (442, 0xf31aeb575f8279be);
+const PIN_DENSE_DUAL_TILED: (usize, u64) = (5446, 0xa3d00be929ce991f);
 const PIN_SPARSE_DUAL: &[u64] = &[
     0x3fbe460295bdc687,
     0x3f51bf8720628bd0,
@@ -265,6 +295,16 @@ fn dense_dual_fit_keeps_its_bits() {
 }
 
 #[test]
+fn tiled_dense_primal_fit_keeps_its_bits() {
+    assert_eq!(digest(&dense_primal_tiled()), PIN_DENSE_PRIMAL_TILED);
+}
+
+#[test]
+fn tiled_dense_dual_fit_keeps_its_bits() {
+    assert_eq!(digest(&dense_dual_tiled()), PIN_DENSE_DUAL_TILED);
+}
+
+#[test]
 fn sparse_dual_fit_keeps_its_bits() {
     assert_eq!(sparse_dual(), PIN_SPARSE_DUAL);
 }
@@ -299,5 +339,12 @@ fn print_pins() {
             println!("    0x{b:016x},");
         }
         println!("];");
+    }
+    for (name, bits) in [
+        ("PIN_DENSE_PRIMAL_TILED", dense_primal_tiled()),
+        ("PIN_DENSE_DUAL_TILED", dense_dual_tiled()),
+    ] {
+        let (len, h) = digest(&bits);
+        println!("const {name}: (usize, u64) = ({len}, 0x{h:016x});");
     }
 }
