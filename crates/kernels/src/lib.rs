@@ -202,12 +202,26 @@ impl Executor {
     where
         F: Fn(usize, &mut [f64]) + Sync,
     {
+        self.for_each_row_block_sized(out, row_width, self.block_rows(), f);
+    }
+
+    /// [`Self::for_each_row_block`] with blocks of `block_rows` rows (at
+    /// least 1) instead of the policy's block size.
+    pub fn for_each_row_block_sized<F>(
+        &self,
+        out: &mut [f64],
+        row_width: usize,
+        block_rows: usize,
+        f: F,
+    ) where
+        F: Fn(usize, &mut [f64]) + Sync,
+    {
         if out.is_empty() || row_width == 0 {
             return;
         }
         debug_assert_eq!(out.len() % row_width, 0);
         let rows = out.len() / row_width;
-        let bs = self.block_rows();
+        let bs = block_rows.max(1);
         let n_blocks = rows.div_ceil(bs);
         let t = self.threads().min(n_blocks);
         if t <= 1 {

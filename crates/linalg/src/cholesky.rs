@@ -98,6 +98,14 @@ impl Cholesky {
     /// Solve `A·X = B` for a matrix of right-hand sides (columns of `B`).
     /// This is SRDA's multi-response solve: one factorization amortized
     /// across `c − 1` systems.
+    ///
+    /// Each direction sweeps `L` once for all `k` columns, on a row-major
+    /// working copy padded to whole [`SOLVE_COLS`]-wide lanes: a register
+    /// tile of [`SOLVE_ROWS`] rows × one lane runs over every `L` entry left
+    /// (forward) or below (backward) its rows. Every column keeps the exact
+    /// operation order of [`solve_inplace`](Self::solve_inplace), and the
+    /// result, a [`LinalgError::Singular`] pivot and the flam count
+    /// (`k · 2·⌊n²/2⌋`) are those of `k` single solves.
     pub fn solve_mat(&self, b: &Mat) -> Result<Mat> {
         if b.nrows() != self.dim() {
             return Err(LinalgError::ShapeMismatch {
@@ -106,14 +114,37 @@ impl Cholesky {
                 rhs: b.shape(),
             });
         }
-        let mut x = Mat::zeros(b.nrows(), b.ncols());
-        let mut col = vec![0.0; b.nrows()];
-        for j in 0..b.ncols() {
-            for i in 0..b.nrows() {
-                col[i] = b[(i, j)];
-            }
-            self.solve_inplace(&mut col)?;
-            x.set_col(j, &col);
+        let (n, k) = b.shape();
+        let mut x = Mat::zeros(n, k);
+        if k == 0 {
+            return Ok(x);
+        }
+        // the first column's forward sweep stops at the first zero pivot
+        if let Some(pivot) = (0..n).find(|&i| self.l[(i, i)] == 0.0) {
+            flam::add((n * n / 2) as u64);
+            return Err(LinalgError::Singular { pivot });
+        }
+        flam::add((k * 2 * (n * n / 2)) as u64);
+        let lanes = k.div_ceil(SOLVE_COLS);
+        let mut w = vec![[0.0; SOLVE_COLS]; n * lanes];
+        for (i, row) in w.chunks_exact_mut(lanes).enumerate() {
+            row.as_flattened_mut()[..k].copy_from_slice(b.row(i));
+        }
+        let tiled = n - n % SOLVE_ROWS;
+        for i0 in (0..tiled).step_by(SOLVE_ROWS) {
+            forward_rows::<SOLVE_ROWS>(&self.l, &mut w, lanes, i0);
+        }
+        for i0 in tiled..n {
+            forward_rows::<1>(&self.l, &mut w, lanes, i0);
+        }
+        for i0 in (tiled..n).rev() {
+            backward_rows::<1>(&self.l, &mut w, lanes, i0);
+        }
+        for i0 in (0..tiled).step_by(SOLVE_ROWS).rev() {
+            backward_rows::<SOLVE_ROWS>(&self.l, &mut w, lanes, i0);
+        }
+        for (i, row) in w.chunks_exact(lanes).enumerate() {
+            x.row_mut(i).copy_from_slice(&row.as_flattened()[..k]);
         }
         Ok(x)
     }
@@ -215,6 +246,83 @@ impl Cholesky {
         }
         let r = hi / lo;
         r * r
+    }
+}
+
+/// Right-hand sides in one register tile of [`Cholesky::solve_mat`].
+const SOLVE_COLS: usize = 8;
+/// Rows of `L` in one register tile of [`Cholesky::solve_mat`].
+const SOLVE_ROWS: usize = 2;
+
+/// Rows `i0..i0 + R` of `L·Y = B`, on the row-major working copy `w`
+/// (`lanes` lanes per row) whose rows above `i0` are solved. Row `i` is
+/// `b_i − Σ_{j<i} l_ij·y_j` subtracted in ascending `j`, then divided by
+/// `l_ii`: the order of [`triangular::solve_lower_inplace`].
+fn forward_rows<const R: usize>(l: &Mat, w: &mut [[f64; SOLVE_COLS]], lanes: usize, i0: usize) {
+    let (done, rest) = w.split_at_mut(i0 * lanes);
+    let l_rows: [&[f64]; R] = std::array::from_fn(|t| &l.row(i0 + t)[..i0 + R]);
+    for c in 0..lanes {
+        let mut acc: [[f64; SOLVE_COLS]; R] = std::array::from_fn(|t| rest[t * lanes + c]);
+        for j in 0..i0 {
+            let y = &done[j * lanes + c];
+            for (at, lt) in acc.iter_mut().zip(&l_rows) {
+                let ltj = lt[j];
+                for (v, &yv) in at.iter_mut().zip(y) {
+                    *v -= ltj * yv;
+                }
+            }
+        }
+        for t in 0..R {
+            for s in 0..t {
+                let (lts, ys) = (l_rows[t][i0 + s], acc[s]);
+                for (v, &yv) in acc[t].iter_mut().zip(&ys) {
+                    *v -= lts * yv;
+                }
+            }
+            let d = l_rows[t][i0 + t];
+            acc[t].iter_mut().for_each(|v| *v /= d);
+        }
+        for (t, at) in acc.into_iter().enumerate() {
+            rest[t * lanes + c] = at;
+        }
+    }
+}
+
+/// Rows `i0..i0 + R` of `Lᵀ·X = Y`, on the working copy `w` whose rows
+/// below `i0 + R` are solved. Row `j` subtracts `l_ij·x_i` for `i`
+/// descending, then is divided by `l_jj`: the order of
+/// [`triangular::solve_lower_transpose_inplace`].
+fn backward_rows<const R: usize>(l: &Mat, w: &mut [[f64; SOLVE_COLS]], lanes: usize, i0: usize) {
+    let (head, solved) = w.split_at_mut((i0 + R) * lanes);
+    let block = &mut head[i0 * lanes..];
+    // l_ij for the block's columns j, rows i below it: gathered once, not
+    // once per lane
+    let l_cols: Vec<[f64; R]> = (i0 + R..l.nrows())
+        .map(|i| std::array::from_fn(|t| l[(i, i0 + t)]))
+        .collect();
+    for c in 0..lanes {
+        let mut acc: [[f64; SOLVE_COLS]; R] = std::array::from_fn(|t| block[t * lanes + c]);
+        for (off, li) in l_cols.iter().enumerate().rev() {
+            let x = &solved[off * lanes + c];
+            for (at, &lit) in acc.iter_mut().zip(li) {
+                for (v, &xv) in at.iter_mut().zip(x) {
+                    *v -= lit * xv;
+                }
+            }
+        }
+        for t in (0..R).rev() {
+            for s in (t + 1..R).rev() {
+                let (lst, xs) = (l[(i0 + s, i0 + t)], acc[s]);
+                for (v, &xv) in acc[t].iter_mut().zip(&xs) {
+                    *v -= lst * xv;
+                }
+            }
+            let d = l[(i0 + t, i0 + t)];
+            acc[t].iter_mut().for_each(|v| *v /= d);
+        }
+        for (t, at) in acc.into_iter().enumerate() {
+            block[t * lanes + c] = at;
+        }
     }
 }
 
@@ -432,6 +540,83 @@ mod tests {
         let x = ch.solve_mat(&b).unwrap();
         let recon = matmul(&a, &x).unwrap();
         assert!(recon.approx_eq(&b, 1e-9));
+    }
+
+    /// The historical one-column-at-a-time loop of
+    /// [`Cholesky::solve_mat`], kept as the bitwise oracle for the
+    /// whole-panel sweeps.
+    fn solve_mat_columnwise(ch: &Cholesky, b: &Mat) -> Result<Mat> {
+        let mut x = Mat::zeros(b.nrows(), b.ncols());
+        let mut col = vec![0.0; b.nrows()];
+        for j in 0..b.ncols() {
+            for i in 0..b.nrows() {
+                col[i] = b[(i, j)];
+            }
+            ch.solve_inplace(&mut col)?;
+            x.set_col(j, &col);
+        }
+        Ok(x)
+    }
+
+    #[test]
+    fn panel_solve_is_bitwise_the_columnwise_loop_and_counts_its_flam() {
+        let shapes = [
+            (0, 0),
+            (0, 3),
+            (1, 1),
+            (5, 0),
+            (9, 1),
+            (17, 9),
+            (33, 13),
+            (66, 4),
+        ];
+        for (seed, &(n, k)) in shapes.iter().enumerate() {
+            let ch = Cholesky::factor(&rough_spd(n, seed as u64 + 11)).unwrap();
+            let mut state = seed as u64 * 977 + 3;
+            let mut b = Mat::from_fn(n, k, |i, j| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let v = ((state >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * 1e3;
+                // stored ±0.0 and an all-zero column
+                if j == 1 || (i + j) % 5 == 0 {
+                    if i % 2 == 0 {
+                        0.0
+                    } else {
+                        -0.0
+                    }
+                } else {
+                    v
+                }
+            });
+            if n > 2 && k > 3 {
+                b[(n / 2, 2)] = f64::INFINITY;
+                b[(1, 3)] = f64::NAN;
+            }
+            let (expect, want_flam) = flam::measure(|| solve_mat_columnwise(&ch, &b).unwrap());
+            let (got, flam) = flam::measure(|| ch.solve_mat(&b).unwrap());
+            assert_eq!(bits(&got), bits(&expect), "n = {n}, k = {k}");
+            assert_eq!(got.shape(), (n, k));
+            assert_eq!(flam, want_flam, "n = {n}, k = {k}");
+            assert_eq!(flam, (k * 2 * (n * n / 2)) as u64);
+        }
+    }
+
+    #[test]
+    fn panel_solve_reports_the_columnwise_singular_pivot() {
+        for (n, zeros) in [(6usize, vec![3usize]), (9, vec![7, 2]), (4, vec![0])] {
+            let mut ch = Cholesky::factor(&rough_spd(n, n as u64)).unwrap();
+            for &z in &zeros {
+                ch.l[(z, z)] = 0.0;
+            }
+            let b = Mat::from_fn(n, 3, |i, j| (i + 2 * j) as f64);
+            let (expect, want_flam) = flam::measure(|| solve_mat_columnwise(&ch, &b).unwrap_err());
+            let (got, flam) = flam::measure(|| ch.solve_mat(&b).unwrap_err());
+            assert_eq!(format!("{got:?}"), format!("{expect:?}"));
+            let first = *zeros.iter().min().unwrap();
+            assert!(matches!(got, LinalgError::Singular { pivot } if pivot == first));
+            assert_eq!(flam, want_flam);
+        }
     }
 
     #[test]

@@ -58,6 +58,25 @@ pub fn matmul_transa_exec(a: &Mat, b: &Mat, exec: &Executor) -> Result<Mat> {
     Ok(c)
 }
 
+/// `C = [A | 1]ᵀ·B` on the given executor: `(k + 1) × n`, the last row
+/// holding the column sums of `B`. Bitwise, and flam for flam,
+/// [`matmul_transa_exec`] of the materialized `[A | 1]`
+/// ([`Mat::append_constant_col`]), which it never builds.
+pub fn matmul_transa_augmented_exec(a: &Mat, b: &Mat, exec: &Executor) -> Result<Mat> {
+    if a.nrows() != b.nrows() {
+        return Err(LinalgError::ShapeMismatch {
+            op: "matmul_transa",
+            lhs: (a.nrows(), a.ncols() + 1),
+            rhs: b.shape(),
+        });
+    }
+    let (m, k, n) = (a.nrows(), a.ncols(), b.ncols());
+    flam::add((m * (k + 1) * n) as u64);
+    let mut c = Mat::zeros(k + 1, n);
+    dense::gemm_transa_augmented(exec, a.as_slice(), m, k, b.as_slice(), n, c.as_mut_slice());
+    Ok(c)
+}
+
 /// Product with the right operand transposed: `C = A·Bᵀ` without forming `Bᵀ`.
 pub fn matmul_transb(a: &Mat, b: &Mat) -> Result<Mat> {
     matmul_transb_exec(a, b, &Executor::serial())
@@ -91,6 +110,17 @@ pub fn gram_exec(a: &Mat, exec: &Executor) -> Mat {
     flam::add((m * n * (n + 1) / 2) as u64);
     let mut g = Mat::zeros(n, n);
     dense::gram(exec, a.as_slice(), m, n, g.as_mut_slice());
+    g
+}
+
+/// Gram matrix `[A | 1]ᵀ[A | 1]` (`(ncols + 1)²`) on the given executor.
+/// Bitwise, and flam for flam, [`gram_exec`] of the materialized
+/// `[A | 1]` ([`Mat::append_constant_col`]), which it never builds.
+pub fn gram_augmented_exec(a: &Mat, exec: &Executor) -> Mat {
+    let (m, n) = a.shape();
+    flam::add((m * (n + 1) * (n + 2) / 2) as u64);
+    let mut g = Mat::zeros(n + 1, n + 1);
+    dense::gram_augmented(exec, a.as_slice(), m, n, g.as_mut_slice());
     g
 }
 
@@ -323,6 +353,32 @@ mod tests {
             let _ = matmul(&a, &b).unwrap();
         });
         assert_eq!(used, 10 * 20 * 30);
+    }
+
+    #[test]
+    fn gram_and_transa_flam_counts_are_pinned() {
+        // `core.fit_flam` and the Table I reproductions read these counts
+        let a = Mat::from_fn(37, 11, |i, j| ((i * 7 + j * 3) % 5) as f64 - 2.0);
+        let b = Mat::from_fn(37, 6, |i, j| ((i + 4 * j) % 7) as f64 - 3.0);
+        let exec = Executor::threaded(3);
+        let (_, used) = crate::flam::measure(|| gram_exec(&a, &exec));
+        assert_eq!(used, 37 * 11 * 12 / 2);
+        let (_, used) = crate::flam::measure(|| matmul_transa_exec(&a, &b, &exec).unwrap());
+        assert_eq!(used, 37 * 11 * 6);
+        // the augmented forms count, and compute, what the materialized
+        // `[A | 1]` does
+        let xa = a.append_constant_col(1.0);
+        let (want, want_flam) = crate::flam::measure(|| gram_exec(&xa, &exec));
+        let (got, flam) = crate::flam::measure(|| gram_augmented_exec(&a, &exec));
+        assert!(got.approx_eq(&want, 0.0));
+        assert_eq!(flam, want_flam);
+        let (want, want_flam) =
+            crate::flam::measure(|| matmul_transa_exec(&xa, &b, &exec).unwrap());
+        let (got, flam) =
+            crate::flam::measure(|| matmul_transa_augmented_exec(&a, &b, &exec).unwrap());
+        assert!(got.approx_eq(&want, 0.0));
+        assert_eq!(flam, want_flam);
+        assert!(matmul_transa_augmented_exec(&a, &Mat::zeros(36, 2), &exec).is_err());
     }
 
     #[test]

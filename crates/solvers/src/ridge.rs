@@ -41,7 +41,10 @@
 
 use crate::certificate::{certify_spd_solves, SolveCertificate};
 use crate::governor::{Interrupt, RunGovernor};
-use srda_linalg::ops::{gram, gram_exec, gram_t, gram_t_exec, matmul_transa, matmul_transa_exec};
+use srda_linalg::ops::{
+    gram, gram_augmented_exec, gram_t, gram_t_exec, matmul_transa, matmul_transa_augmented_exec,
+    matmul_transa_exec,
+};
 use srda_linalg::{Cholesky, Executor, LinalgError, Mat, Result};
 use srda_sparse::{CsrMatrix, GramBudgetExceeded};
 
@@ -165,21 +168,22 @@ pub struct DirectSolve {
 }
 
 impl RidgeSystem<'static> {
-    /// Materialize `X̃ = [X | 1]` and build the smaller normal-equation
-    /// form, as [`RidgeSolver::auto`] picks it: the primal Gram `X̃ᵀX̃` and
-    /// `X̃ᵀȲ` when `n + 1 ≤ m` (then `X̃` is dropped), else the dual Gram
-    /// `X̃X̃ᵀ` with `X̃` kept for the back-projection.
+    /// Build the smaller normal-equation form of `X̃ = [X | 1]`, as
+    /// [`RidgeSolver::auto`] picks it: the primal Gram `X̃ᵀX̃` and `X̃ᵀȲ`
+    /// when `n + 1 ≤ m`, read straight from `X` with the bias lane added
+    /// by the kernels, else the dual Gram `X̃X̃ᵀ` of a materialized `X̃`,
+    /// kept for the back-projection.
     pub fn dense(x: &Mat, ybar: &Mat, exec: Executor) -> Result<Self> {
-        let xa = x.append_constant_col(1.0);
-        if xa.ncols() <= xa.nrows() {
-            let rhs = matmul_transa_exec(&xa, ybar, &exec)?;
+        if x.ncols() < x.nrows() {
+            let rhs = matmul_transa_augmented_exec(x, ybar, &exec)?;
             Ok(Self::new(
-                gram_exec(&xa, &exec),
+                gram_augmented_exec(x, &exec),
                 rhs,
                 BackProjection::None,
                 exec,
             ))
         } else {
+            let xa = x.append_constant_col(1.0);
             let g = gram_t_exec(&xa, &exec);
             Ok(Self::new(g, ybar.clone(), BackProjection::Dense(xa), exec))
         }
