@@ -2,8 +2,12 @@
 //! backend vs the threaded backend, on paper-shaped workloads.
 //!
 //! Emits `BENCH_kernels.json` (path overridable as the first argument)
-//! with per-kernel wall times and speedups, plus a determinism check
-//! (the threaded backend must be bitwise-identical to serial).
+//! with per-kernel wall times, speedups and the blocked serial kernel's
+//! Gflam/s (its `srda_linalg::flam` count over its best time), plus a
+//! determinism check: the threaded backend must be bitwise-identical to
+//! serial. `cholesky_solve_mat` has no threaded variant; its row times
+//! the per-column solves as `naive` and checks the whole-panel solve
+//! bitwise against them.
 //!
 //! Knobs:
 //! * `SRDA_BENCH_THREADS` — thread count for the threaded variant
@@ -14,7 +18,7 @@
 
 use srda::Recorder;
 use srda_linalg::ops::{gram_exec, matmul_exec};
-use srda_linalg::{ExecPolicy, Executor, Mat};
+use srda_linalg::{flam, Cholesky, ExecPolicy, Executor, Mat};
 use srda_sparse::CsrMatrix;
 use std::time::Instant;
 
@@ -91,6 +95,8 @@ struct Row {
     serial: f64,
     threaded: f64,
     identical: bool,
+    /// flam of one blocked serial call
+    flam: u64,
 }
 
 fn naive_gram(a: &Mat) -> Mat {
@@ -157,6 +163,7 @@ fn main() {
             serial: t_serial,
             threaded: t_par,
             identical: g1.as_slice() == g2.as_slice() && g0.shape() == g1.shape(),
+            flam: flam::measure(|| gram_exec(&a, &serial)).1,
         });
     }
 
@@ -175,6 +182,7 @@ fn main() {
             serial: t_serial,
             threaded: t_par,
             identical: c1.as_slice() == c2.as_slice() && c0.shape() == c1.shape(),
+            flam: flam::measure(|| matmul_exec(&a, &b, &serial)).1,
         });
     }
 
@@ -193,6 +201,7 @@ fn main() {
             serial: t_serial,
             threaded: t_par,
             identical: y1 == y2 && y0.len() == y1.len(),
+            flam: flam::measure(|| a.matvec_exec(&x, &serial)).1,
         });
     }
 
@@ -212,6 +221,39 @@ fn main() {
             serial: t_serial,
             threaded: t_par,
             identical: g1.as_slice() == g2.as_slice(),
+            flam: flam::measure(|| a.gram_t_dense_checked_exec(budget, &serial)).1,
+        });
+    }
+
+    // Cholesky solve of the c − 1 responses: PIE's primal system (n + 1 =
+    // 1025 unknowns, 68 classes). Naive is one forward and one backward
+    // substitution per column.
+    {
+        let (n, k) = (sc(1025), sc(68));
+        let a = dense(n + 200, n, 6);
+        let mut g = gram_exec(&a, &serial);
+        g.add_to_diag(1.0);
+        let chol = Cholesky::factor(&g).unwrap();
+        let b = dense(n, k, 7);
+        let (t_naive, x0) = time_best(reps, || {
+            let mut x = Mat::zeros(n, k);
+            for j in 0..k {
+                let mut col = b.col(j);
+                chol.solve_inplace(&mut col).unwrap();
+                x.set_col(j, &col);
+            }
+            x
+        });
+        let (t_serial, x1) = time_best(reps, || chol.solve_mat(&b).unwrap());
+        let bits = |x: &Mat| x.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        rows.push(Row {
+            kernel: "cholesky_solve_mat",
+            shape: format!("{n} k={k}"),
+            naive: t_naive,
+            serial: t_serial,
+            threaded: t_serial,
+            identical: bits(&x0) == bits(&x1),
+            flam: flam::measure(|| chol.solve_mat(&b)).1,
         });
     }
 
@@ -248,7 +290,7 @@ fn main() {
             "    {{\"kernel\": \"{}\", \"shape\": \"{}\", \"naive_s\": {:.6}, \
              \"blocked_serial_s\": {:.6}, \"threaded_s\": {:.6}, \
              \"speedup_blocked_vs_naive\": {:.3}, \"speedup_threaded_vs_serial\": {:.3}, \
-             \"bitwise_identical\": {}}}{}\n",
+             \"flam\": {}, \"blocked_serial_gflam_per_s\": {:.3}, \"bitwise_identical\": {}}}{}\n",
             r.kernel,
             r.shape,
             r.naive,
@@ -256,6 +298,8 @@ fn main() {
             r.threaded,
             r.naive / r.serial.max(1e-12),
             r.serial / r.threaded.max(1e-12),
+            r.flam,
+            r.flam as f64 / r.serial.max(1e-12) / 1e9,
             r.identical,
             if i + 1 < rows.len() { "," } else { "" },
         ));
@@ -278,13 +322,19 @@ fn main() {
 
     println!("wrote {out_path}");
     println!(
-        "{:<12} {:>22} {:>10} {:>10} {:>10} {:>9}",
-        "kernel", "shape", "naive(s)", "serial(s)", "par(s)", "bitwise"
+        "{:<18} {:>22} {:>10} {:>10} {:>10} {:>8} {:>9}",
+        "kernel", "shape", "naive(s)", "serial(s)", "par(s)", "Gflam/s", "bitwise"
     );
     for r in &rows {
         println!(
-            "{:<12} {:>22} {:>10.4} {:>10.4} {:>10.4} {:>9}",
-            r.kernel, r.shape, r.naive, r.serial, r.threaded, r.identical
+            "{:<18} {:>22} {:>10.4} {:>10.4} {:>10.4} {:>8.2} {:>9}",
+            r.kernel,
+            r.shape,
+            r.naive,
+            r.serial,
+            r.threaded,
+            r.flam as f64 / r.serial.max(1e-12) / 1e9,
+            r.identical
         );
     }
     println!(
@@ -294,7 +344,7 @@ fn main() {
         (ov_enabled - ov_disabled) / ov_disabled.max(1e-12) * 100.0
     );
     if rows.iter().any(|r| !r.identical) {
-        eprintln!("error: threaded backend diverged from serial");
+        eprintln!("error: a kernel diverged from its bitwise reference");
         std::process::exit(1);
     }
 }

@@ -9,6 +9,15 @@
 //! identical across backends and matches the historical serial loops in
 //! `srda_linalg::ops`, which is what makes the executor refactor invisible
 //! to existing bit-level regression tests.
+//!
+//! [`gram`] and [`gemm_transa`] (and their `_augmented` forms, which read
+//! `[a | 1]` without building it) share one register-tile kernel: each
+//! pass packs 256 rows of the right operand into 8-wide column panels and
+//! sweeps 2 × 8 tiles of the output over them, the tile held in locals and
+//! reloaded from the output between passes, so every entry keeps the
+//! historical ascending-row sum. The threads split the output rows in
+//! whole tiles. The other kernels work in row panels of
+//! [`crate::ExecPolicy::block_size`] rows.
 
 use crate::Executor;
 
@@ -303,9 +312,6 @@ fn atb(exec: &Executor, a: Operand<'_>, b: Option<Operand<'_>>, m: usize, c: &mu
     let upper = b.is_none();
     let b = b.unwrap_or(a);
     let nb = b.width();
-    if c.is_empty() {
-        return;
-    }
     let span_rows = a.width().div_ceil(MR).div_ceil(exec.threads()) * MR;
     let panels = nb.div_ceil(NR);
     exec.for_each_row_block_sized(c, nb, span_rows, |first, span| {

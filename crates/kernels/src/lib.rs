@@ -56,8 +56,12 @@ pub struct ExecPolicy {
     pub backend: Backend,
     /// Worker threads used by [`Backend::Threaded`]; ignored by `Serial`.
     pub n_threads: usize,
-    /// Row-block granularity for cache blocking in the partitioned
-    /// kernels (Gram sweeps, GEMM row tiles). Purely a performance knob:
+    /// Row-block granularity of [`Executor::for_each_row_block`]: the
+    /// output row panels of `dense::{gemm, gemm_transb, gram_t, matvec}`,
+    /// `sparse::{csr_matvec, csr_matmul_dense, csr_gram_t}` and the
+    /// kernel-SRDA Gram matrices. `dense::{gram, gemm_transa}` and their
+    /// `_augmented` forms do not read it: their register tiles split the
+    /// output into one span per thread. Purely a performance knob:
     /// results are identical for every positive value.
     pub block_size: usize,
 }

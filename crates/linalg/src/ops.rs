@@ -4,12 +4,16 @@
 //! [`srda_kernels`]: each product has an `*_exec` variant taking an
 //! [`Executor`], and the historical free functions delegate to it with the
 //! serial executor, so existing callers keep bit-identical results. The
-//! kernels are blocked for cache locality and — under
-//! [`srda_kernels::Backend::Threaded`] — row-partitioned across scoped
-//! threads with a fixed deterministic reduction order, so the backend
-//! choice never changes the numbers, only the wall-clock. `flam`
-//! accounting stays here in the shims, unchanged from the serial era, so
-//! operation counts measure *algorithm* cost, not backend shape.
+//! kernels are blocked for cache locality — the Gram and `Aᵀ·B` products
+//! in register tiles over packed panels, the rest in row panels — and,
+//! under [`srda_kernels::Backend::Threaded`], row-partitioned across
+//! scoped threads with a fixed deterministic reduction order, so neither
+//! the blocking nor the backend changes the numbers, only the wall-clock.
+//! The `*_augmented_exec` products read the bias-augmented `[A | 1]`
+//! without materializing it, bitwise and flam for flam the products of
+//! the materialized matrix. `flam` accounting stays here in the shims,
+//! unchanged from the serial era, so operation counts measure *algorithm*
+//! cost, not backend shape.
 
 use crate::error::LinalgError;
 use crate::matrix::Mat;

@@ -54,7 +54,7 @@ CARGO_PROFILE_RELEASE_OVERFLOW_CHECKS=true \
 echo "==> cargo test (perfbench, offline)"
 cargo test -q --offline --manifest-path perfbench/Cargo.toml
 
-# Bench smoke: tiny scale, still exercises all four kernels and the
+# Bench smoke: tiny scale, still exercises every kernel and the
 # serial-vs-threaded bitwise check (bench_kernels exits nonzero on any
 # divergence). The full-scale BENCH_kernels.json is produced manually.
 echo "==> bench smoke (bench_kernels, reduced scale)"
