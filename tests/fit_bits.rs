@@ -14,6 +14,12 @@
 //! words are too many to list, so each is pinned as its length and a
 //! 64-bit FNV-1a digest of the words' little-endian bytes.
 //!
+//! The disk pin is an LSQR fit through [`DiskCsr`], pinned the same way.
+//! Its file puts rows across and exactly on the scan's 4,096-entry chunk
+//! boundaries and starts and ends with an empty row, and its 39 responses
+//! run in lockstep panels of ten and nine columns that shrink as columns
+//! converge (the block products see widths 10, 9, 8, 6, 5, 4, 3, 2, 1).
+//!
 //! To regenerate after an *intentional* numerical change:
 //!
 //! ```text
@@ -25,7 +31,7 @@ use srda::{
     SrdaConfig, SrdaModel,
 };
 use srda_linalg::Mat;
-use srda_sparse::CsrMatrix;
+use srda_sparse::{disk, CooBuilder, CsrMatrix, DiskCsr};
 
 /// Deterministic noise in [-0.5, 0.5).
 fn noise(i: usize, j: usize) -> f64 {
@@ -114,6 +120,83 @@ fn digest(bits: &[u64]) -> (usize, u64) {
         h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
     }
     (bits.len(), h)
+}
+
+/// Entries per read of the disk scan (`srda_sparse::disk`).
+const DISK_CHUNK: usize = 4096;
+
+/// A short, wide 40-class file: 200 × 1500, empty first and last rows, a
+/// row ending exactly on the first chunk boundary and rows straddling the
+/// later ones.
+fn disk_fixture() -> (CsrMatrix, Vec<usize>) {
+    let (classes, m, n) = (40, 200, 1500);
+    let y: Vec<usize> = (0..m).map(|i| i / (m / classes)).collect();
+    let mut lens: Vec<usize> = (0..m)
+        .map(|i| {
+            if i == 0 || i == m - 1 {
+                0
+            } else {
+                30 + (i * 37) % 61
+            }
+        })
+        .collect();
+    // shorten the row that crosses the first boundary to end on it
+    let mut end = 0;
+    for len in &mut lens {
+        if end < DISK_CHUNK && end + *len > DISK_CHUNK {
+            *len = DISK_CHUNK - end;
+        }
+        end += *len;
+    }
+    let mut b = CooBuilder::new(m, n);
+    for (i, &len) in lens.iter().enumerate() {
+        for t in 0..len {
+            let j = (i * 131 + t * 53) % n;
+            let shift = if j % classes == y[i] { 3.0 } else { 0.0 };
+            b.push(i, j, shift + noise(i, j)).unwrap();
+        }
+    }
+    (b.build(), y)
+}
+
+/// The 40-class fixture fitted by LSQR through a [`DiskCsr`] file.
+fn disk_lsqr() -> Vec<u64> {
+    let (x, y) = disk_fixture();
+    let path = std::env::temp_dir().join(format!("srda-fit-bits-{}.srdacsr", std::process::id()));
+    disk::write_csr(&path, &x).unwrap();
+    let op = DiskCsr::open(&path).unwrap();
+    let cfg = SrdaConfig {
+        solver: srda::SrdaSolver::Lsqr {
+            max_iter: 60,
+            tol: 1e-4,
+        },
+        ..SrdaConfig::lsqr_default()
+    };
+    let model = Srda::new(cfg).fit_operator(&op, &y).unwrap();
+    std::fs::remove_file(&path).ok();
+    model_bits(&model)
+}
+
+#[test]
+fn disk_fixture_crosses_the_chunk_boundaries() {
+    let (x, _) = disk_fixture();
+    let ends: Vec<usize> = (0..x.nrows())
+        .scan(0, |end, i| {
+            *end += x.row_nnz(i);
+            Some(*end)
+        })
+        .collect();
+    assert_eq!(x.row_nnz(0), 0);
+    assert_eq!(x.row_nnz(x.nrows() - 1), 0);
+    assert!(x.nnz() > 2 * DISK_CHUNK);
+    assert!(
+        ends.contains(&DISK_CHUNK),
+        "a row ends on the first boundary"
+    );
+    assert!(
+        !ends.contains(&(2 * DISK_CHUNK)),
+        "a row straddles the second boundary"
+    );
 }
 
 fn sparse_dual() -> Vec<u64> {
@@ -205,6 +288,7 @@ const PIN_DENSE_DUAL: &[u64] = &[
 ];
 const PIN_DENSE_PRIMAL_TILED: (usize, u64) = (442, 0xf31aeb575f8279be);
 const PIN_DENSE_DUAL_TILED: (usize, u64) = (5446, 0xa3d00be929ce991f);
+const PIN_DISK_LSQR: (usize, u64) = (58695, 0xc045d2f3bac841e9);
 const PIN_SPARSE_DUAL: &[u64] = &[
     0x3fbe460295bdc687,
     0x3f51bf8720628bd0,
@@ -305,6 +389,11 @@ fn tiled_dense_dual_fit_keeps_its_bits() {
 }
 
 #[test]
+fn disk_lsqr_fit_keeps_its_bits() {
+    assert_eq!(digest(&disk_lsqr()), PIN_DISK_LSQR);
+}
+
+#[test]
 fn sparse_dual_fit_keeps_its_bits() {
     assert_eq!(sparse_dual(), PIN_SPARSE_DUAL);
 }
@@ -343,6 +432,7 @@ fn print_pins() {
     for (name, bits) in [
         ("PIN_DENSE_PRIMAL_TILED", dense_primal_tiled()),
         ("PIN_DENSE_DUAL_TILED", dense_dual_tiled()),
+        ("PIN_DISK_LSQR", disk_lsqr()),
     ] {
         let (len, h) = digest(&bits);
         println!("const {name}: (usize, u64) = ({len}, 0x{h:016x});");
