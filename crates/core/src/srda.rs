@@ -414,12 +414,12 @@ impl Srda {
         self.warn_checkpoint_unsupported(&mut report);
         let system = match design {
             Design::Dense(x) => {
-                let need = x.nrows() * op.ncols() * 8;
+                let (need, context) = dense_system_bytes(x);
                 if let Some(budget) = self.config.memory_budget_bytes.filter(|&b| need > b) {
                     return Err(SrdaError::MemoryBudgetExceeded {
                         needed_bytes: need,
                         budget_bytes: budget,
-                        context: "augmented data matrix",
+                        context,
                     });
                 }
                 Some(RidgeSystem::dense(x, ybar, self.executor())?)
@@ -704,6 +704,26 @@ fn record_lsqr_response(
     report
         .responses
         .push(ResponseSolver::Lsqr { iterations, stop });
+}
+
+/// The bytes of the matrices `RidgeSystem::dense` materializes for `x`
+/// (`m × n`), and what they are: the `(n+1)²` primal Gram when `n < m`
+/// (it reads `X` in place), else the augmented copy `X̃ = [X | 1]` kept
+/// for the back-projection plus the `m²` dual Gram.
+fn dense_system_bytes(x: &Mat) -> (usize, &'static str) {
+    let (m, n1) = (x.nrows(), x.ncols().saturating_add(1));
+    if x.ncols() < m {
+        (
+            n1.saturating_mul(n1).saturating_mul(8),
+            "primal Gram matrix",
+        )
+    } else {
+        let words = m.saturating_mul(n1).saturating_add(m.saturating_mul(m));
+        (
+            words.saturating_mul(8),
+            "augmented data matrix and dual Gram matrix",
+        )
+    }
 }
 
 /// The widest lockstep panel a fit of `k` responses solves through the
@@ -1376,6 +1396,57 @@ mod tests {
         };
         let err = Srda::new(cfg).fit_dense(&x, &y);
         assert!(matches!(err, Err(SrdaError::MemoryBudgetExceeded { .. })));
+    }
+
+    #[test]
+    fn memory_budget_counts_what_the_dense_branch_builds() {
+        // tall (60 × 4): the primal Gram is 5 × 5 = 200 bytes, while the
+        // augmented copy it no longer builds would be 60 · 5 · 8 = 2400
+        let (m, n) = (60, 4);
+        let x = Mat::from_fn(m, n, |i, j| {
+            let shift = if j == i % 3 { 3.0 } else { 0.0 };
+            shift + ((i * 7 + j * 3) as f64 * 0.37).sin()
+        });
+        let y: Vec<usize> = (0..m).map(|i| i % 3).collect();
+        let fit = |budget| {
+            Srda::new(SrdaConfig {
+                memory_budget_bytes: Some(budget),
+                ..SrdaConfig::default()
+            })
+            .fit_dense(&x, &y)
+        };
+        assert!(fit(1000).is_ok(), "200-byte Gram under a 1000-byte budget");
+        match fit(199) {
+            Err(SrdaError::MemoryBudgetExceeded {
+                needed_bytes: 200,
+                budget_bytes: 199,
+                context: "primal Gram matrix",
+            }) => {}
+            other => panic!("primal Gram over budget: {other:?}"),
+        }
+        // wide (8 × 40, blobs): X̃ is 8 · 41 and the dual Gram 8 · 8 words
+        let (xw, yw) = blobs();
+        let wide = Mat::from_fn(8, 40, |i, j| xw[(i, j % xw.ncols())] + j as f64 * 0.01);
+        let need = (8 * 41 + 8 * 8) * 8;
+        let refused = Srda::new(SrdaConfig {
+            memory_budget_bytes: Some(need - 1),
+            ..SrdaConfig::default()
+        })
+        .fit_dense(&wide, &yw);
+        match refused {
+            Err(SrdaError::MemoryBudgetExceeded {
+                needed_bytes,
+                context: "augmented data matrix and dual Gram matrix",
+                ..
+            }) => assert_eq!(needed_bytes, need),
+            other => panic!("dual fit over budget: {other:?}"),
+        }
+        let fits = Srda::new(SrdaConfig {
+            memory_budget_bytes: Some(need),
+            ..SrdaConfig::default()
+        })
+        .fit_dense(&wide, &yw);
+        assert!(fits.is_ok(), "{:?}", fits.err());
     }
 
     #[test]
