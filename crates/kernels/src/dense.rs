@@ -16,7 +16,7 @@
 //! sweeps 2 × 8 tiles of the output over them, the tile held in locals and
 //! reloaded from the output between passes, so every entry keeps the
 //! historical ascending-row sum. The threads split the output rows in
-//! whole tiles. The other kernels work in row panels of
+//! whole tiles of near-equal work. The other kernels work in row panels of
 //! [`crate::ExecPolicy::block_size`] rows.
 
 use crate::Executor;
@@ -307,14 +307,15 @@ impl<'a> Operand<'a> {
 /// the tile held in locals, reloading it from `c` between passes. So every
 /// entry is `+0.0` plus `a[r][i]·b[r][j]` over ascending `r`, whatever the
 /// tile shape, chunk length or thread count. The threads split the rows
-/// of `c` in whole tiles, and each packs its own panels.
+/// of `c` in whole tiles of near-equal work ([`span_ends`]), and each
+/// packs its own panels.
 fn atb(exec: &Executor, a: Operand<'_>, b: Option<Operand<'_>>, m: usize, c: &mut [f64]) {
     let upper = b.is_none();
     let b = b.unwrap_or(a);
     let nb = b.width();
-    let span_rows = a.width().div_ceil(MR).div_ceil(exec.threads()) * MR;
+    let ends = span_ends(a.width(), nb, upper, exec.threads());
     let panels = nb.div_ceil(NR);
-    exec.for_each_row_block_sized(c, nb, span_rows, |first, span| {
+    exec.for_each_row_span(c, nb, &ends, |first, span| {
         span.fill(0.0);
         let rows = span.len() / nb;
         // panels left of the span's first row hold only lower-triangle tiles
@@ -363,6 +364,28 @@ fn atb(exec: &Executor, a: Operand<'_>, b: Option<Operand<'_>>, m: usize, c: &mu
             }
         }
     });
+}
+
+/// Where [`atb`]'s `parts` thread spans over the `rows` rows of its
+/// `rows × nb` output end: whole [`MR`]-row tiles, cut where the work done
+/// reaches each `1/parts` share. A tile row sweeps every column from its
+/// own panel on in the Gram (`upper`), so the upper triangle's first half
+/// of rows holds about ¾ of the work; otherwise every tile row sweeps all
+/// `nb` columns. One part is one span of every row.
+fn span_ends(rows: usize, nb: usize, upper: bool, parts: usize) -> Vec<usize> {
+    let tiles = rows.div_ceil(MR);
+    let work = |t: usize| if upper { nb - t * MR / NR * NR } else { nb };
+    let total: usize = (0..tiles).map(work).sum();
+    let mut ends = Vec::with_capacity(parts);
+    let mut done = 0;
+    for t in 0..tiles.saturating_sub(1) {
+        done += work(t);
+        if ends.len() + 1 < parts && done * parts >= total * (ends.len() + 1) {
+            ends.push((t + 1) * MR);
+        }
+    }
+    ends.push(rows);
+    ends
 }
 
 /// Pack rows `rows` of `b`'s column panels `panels` into `pack`, panel
@@ -599,6 +622,49 @@ mod tests {
                 assert_eq!(bits(&ca), bits(&want_ca), "gemm_transa_augmented, {what}");
             }
         }
+    }
+
+    #[test]
+    fn gram_spans_are_whole_tiles_of_near_equal_work() {
+        // the columns one tile row sweeps: the Gram's from its own panel on
+        let swept = |i: usize, nb: usize, upper: bool| if upper { nb - i / NR * NR } else { nb };
+        for (rows, parts) in [
+            (500, 2),
+            (1025, 3),
+            (1000, 4),
+            (19, 4),
+            (3, 4),
+            (1, 2),
+            (64, 1),
+        ] {
+            for upper in [true, false] {
+                let ends = span_ends(rows, rows, upper, parts);
+                let what = format!("{rows} rows, {parts} parts, upper {upper}: {ends:?}");
+                assert_eq!(ends.last(), Some(&rows), "{what}");
+                assert!(ends.len() <= parts, "{what}");
+                assert!(ends.windows(2).all(|w| w[0] < w[1]), "{what}");
+                assert!(ends[..ends.len() - 1].iter().all(|e| e % MR == 0), "{what}");
+                let work = |r: std::ops::Range<usize>| -> usize {
+                    r.step_by(MR).map(|i| swept(i, rows, upper)).sum()
+                };
+                let total = work(0..rows);
+                let mut first = 0;
+                for &end in &ends {
+                    // each span is within one tile row of its share
+                    let share = total / ends.len();
+                    assert!(work(first..end).abs_diff(share) <= rows, "{what}");
+                    first = end;
+                }
+                if rows.div_ceil(MR) >= parts {
+                    assert_eq!(ends.len(), parts, "{what}");
+                }
+            }
+        }
+        // the Gram's first half of rows holds about three quarters of the
+        // work, so its first span is well short of half the rows
+        let ends = span_ends(1000, 1000, true, 2);
+        assert!((280..300).contains(&ends[0]), "{ends:?}");
+        assert_eq!(span_ends(1000, 1000, false, 2), [500, 1000]);
     }
 
     #[test]

@@ -206,26 +206,12 @@ impl Executor {
     where
         F: Fn(usize, &mut [f64]) + Sync,
     {
-        self.for_each_row_block_sized(out, row_width, self.block_rows(), f);
-    }
-
-    /// [`Self::for_each_row_block`] with blocks of `block_rows` rows (at
-    /// least 1) instead of the policy's block size.
-    pub fn for_each_row_block_sized<F>(
-        &self,
-        out: &mut [f64],
-        row_width: usize,
-        block_rows: usize,
-        f: F,
-    ) where
-        F: Fn(usize, &mut [f64]) + Sync,
-    {
         if out.is_empty() || row_width == 0 {
             return;
         }
         debug_assert_eq!(out.len() % row_width, 0);
         let rows = out.len() / row_width;
-        let bs = block_rows.max(1);
+        let bs = self.block_rows();
         let n_blocks = rows.div_ceil(bs);
         let t = self.threads().min(n_blocks);
         if t <= 1 {
@@ -256,6 +242,37 @@ impl Executor {
                     }
                 });
                 row0 += rows_here;
+            }
+        });
+    }
+
+    /// Split `out` (row-major, `row_width` values per row) at the
+    /// ascending row boundaries `ends` — the last one the row count — and
+    /// invoke `f(first_row, span)` on each span, one worker thread per
+    /// span; a single span runs on the calling thread. Kernels whose rows
+    /// cost unequal work choose the boundaries themselves (see
+    /// `dense::atb`).
+    pub fn for_each_row_span<F>(&self, out: &mut [f64], row_width: usize, ends: &[usize], f: F)
+    where
+        F: Fn(usize, &mut [f64]) + Sync,
+    {
+        debug_assert_eq!(ends.last().copied().unwrap_or(0) * row_width, out.len());
+        if out.is_empty() {
+            return;
+        }
+        if let [_] = ends {
+            f(0, out);
+            return;
+        }
+        std::thread::scope(|s| {
+            let mut rest = out;
+            let mut first = 0;
+            for &end in ends {
+                let (span, tail) = rest.split_at_mut((end - first) * row_width);
+                rest = tail;
+                let fref = &f;
+                s.spawn(move || fref(first, span));
+                first = end;
             }
         });
     }
