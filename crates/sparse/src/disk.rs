@@ -693,8 +693,14 @@ mod tests {
         y
     }
 
+    /// The bit patterns of `v`, every NaN as one: Rust leaves the sign
+    /// and payload of a NaN that arithmetic returns unspecified, and the
+    /// optimizer may commute an add, so which NaN operand of `acc + v·x`
+    /// survives can differ between two builds of the same expression.
     fn bits(v: &[f64]) -> Vec<u64> {
-        v.iter().map(|x| x.to_bits()).collect()
+        v.iter()
+            .map(|x| if x.is_nan() { f64::NAN } else { *x }.to_bits())
+            .collect()
     }
 
     /// Rows across, on and inside the chunk boundaries: empty first, last
