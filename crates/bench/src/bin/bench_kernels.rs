@@ -7,7 +7,11 @@
 //! determinism check: the threaded backend must be bitwise-identical to
 //! serial. `cholesky_solve_mat` has no threaded variant; its row times
 //! the per-column solves as `naive` and checks the whole-panel solve
-//! bitwise against them.
+//! bitwise against them. The `disk_matmul` / `disk_matmul_t` rows time a
+//! `p = 5` block product through `DiskCsr` on a 20NG-shaped SRDACSR file
+//! against the historical per-entry scan (`naive`), report ns per stored
+//! non-zero, and check the block product bitwise against `p` per-column
+//! `matvec` / `matvec_t` passes (they too have no threaded variant).
 //!
 //! Knobs:
 //! * `SRDA_BENCH_THREADS` — thread count for the threaded variant
@@ -19,7 +23,10 @@
 use srda::Recorder;
 use srda_linalg::ops::{gram_exec, matmul_exec};
 use srda_linalg::{flam, Cholesky, ExecPolicy, Executor, Mat};
-use srda_sparse::CsrMatrix;
+use srda_sparse::{disk, CsrMatrix, DiskCsr};
+use std::fs::File;
+use std::io::{BufReader, Read, Seek, SeekFrom};
+use std::path::Path;
 use std::time::Instant;
 
 fn env_usize(key: &str, default: usize) -> usize {
@@ -97,6 +104,9 @@ struct Row {
     identical: bool,
     /// flam of one blocked serial call
     flam: u64,
+    /// stored non-zeros one call reads once each (the mat-vec and disk
+    /// rows), for ns per entry
+    nnz: Option<usize>,
 }
 
 fn naive_gram(a: &Mat) -> Mat {
@@ -136,6 +146,110 @@ fn naive_csr_matvec(a: &CsrMatrix, x: &[f64]) -> Vec<f64> {
         .collect()
 }
 
+/// The historical `DiskCsr` scan over an SRDACSR file: 4,096-entry
+/// chunks, every entry handed to `visit(row, col, value)` after a
+/// row-advance check.
+struct NaiveDiskScan {
+    reader: BufReader<File>,
+    indptr: Vec<u64>,
+    nnz: usize,
+    buf: Vec<u8>,
+}
+
+impl NaiveDiskScan {
+    const CHUNK: usize = 4096;
+    const ENTRY: usize = 16;
+
+    fn open(path: &Path) -> NaiveDiskScan {
+        let mut reader = BufReader::new(File::open(path).expect("open SRDACSR file"));
+        let mut head = [0u8; 40];
+        reader.read_exact(&mut head).expect("read header");
+        let word = |at: usize| u64::from_le_bytes(head[at..at + 8].try_into().unwrap());
+        let (rows, nnz) = (word(8) as usize, word(24) as usize);
+        let mut bytes = vec![0u8; 8 * (rows + 1)];
+        reader.read_exact(&mut bytes).expect("read row pointers");
+        let indptr = bytes
+            .chunks_exact(8)
+            .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
+            .collect();
+        NaiveDiskScan {
+            reader,
+            indptr,
+            nnz,
+            buf: vec![0u8; Self::CHUNK * Self::ENTRY],
+        }
+    }
+
+    fn scan(&mut self, mut visit: impl FnMut(usize, usize, f64)) {
+        let data = 40 + 8 * self.indptr.len() as u64;
+        self.reader.seek(SeekFrom::Start(data)).expect("seek");
+        let mut row = 0usize;
+        let mut seen_in_row = 0u64;
+        let mut row_len = self.indptr.get(1).map_or(0, |end| end - self.indptr[0]);
+        let mut remaining = self.nnz;
+        while remaining > 0 {
+            let take = remaining.min(Self::CHUNK);
+            let bytes = take * Self::ENTRY;
+            self.reader
+                .read_exact(&mut self.buf[..bytes])
+                .expect("read");
+            for entry in self.buf[..bytes].chunks_exact(Self::ENTRY) {
+                while seen_in_row == row_len {
+                    row += 1;
+                    seen_in_row = 0;
+                    row_len = self.indptr[row + 1] - self.indptr[row];
+                }
+                let col = u64::from_le_bytes(entry[..8].try_into().unwrap()) as usize;
+                let val = f64::from_bits(u64::from_le_bytes(entry[8..].try_into().unwrap()));
+                visit(row, col, val);
+                seen_in_row += 1;
+            }
+            remaining -= take;
+        }
+    }
+
+    /// The historical `Y = A·X` closure.
+    fn matmul(&mut self, rows: usize, x: &[f64], p: usize) -> Vec<f64> {
+        let mut y = vec![0.0; rows * p];
+        self.scan(|r, c, v| {
+            let xr = &x[c * p..(c + 1) * p];
+            for (yi, xi) in y[r * p..(r + 1) * p].iter_mut().zip(xr) {
+                *yi += v * xi;
+            }
+        });
+        y
+    }
+
+    /// The historical `Y = Aᵀ·X` closure.
+    fn matmul_t(&mut self, cols: usize, x: &[f64], p: usize) -> Vec<f64> {
+        let mut y = vec![0.0; cols * p];
+        self.scan(|r, c, v| {
+            let xr = &x[r * p..(r + 1) * p];
+            for (yi, xi) in y[c * p..(c + 1) * p].iter_mut().zip(xr) {
+                *yi += v * xi;
+            }
+        });
+        y
+    }
+}
+
+/// Column `j` of the row-major `p`-wide block `x`.
+fn column(x: &[f64], p: usize, j: usize) -> Vec<f64> {
+    x.iter().skip(j).step_by(p).copied().collect()
+}
+
+/// Whether each column of the `p`-wide block `y` is bitwise `single` of
+/// the same column of `x`.
+fn columns_match(x: &[f64], y: &[f64], p: usize, single: impl Fn(&[f64]) -> Vec<f64>) -> bool {
+    let bits = |v: &[f64]| v.iter().map(|a| a.to_bits()).collect::<Vec<_>>();
+    (0..p).all(|j| bits(&column(y, p, j)) == bits(&single(&column(x, p, j))))
+}
+
+/// Nanoseconds per stored non-zero of a `secs`-long pass over `nnz`.
+fn ns_per(secs: f64, nnz: usize) -> f64 {
+    secs * 1e9 / nnz.max(1) as f64
+}
+
 fn main() {
     let out_path = std::env::args()
         .nth(1)
@@ -164,6 +278,7 @@ fn main() {
             threaded: t_par,
             identical: g1.as_slice() == g2.as_slice() && g0.shape() == g1.shape(),
             flam: flam::measure(|| gram_exec(&a, &serial)).1,
+            nnz: None,
         });
     }
 
@@ -183,6 +298,7 @@ fn main() {
             threaded: t_par,
             identical: c1.as_slice() == c2.as_slice() && c0.shape() == c1.shape(),
             flam: flam::measure(|| matmul_exec(&a, &b, &serial)).1,
+            nnz: None,
         });
     }
 
@@ -202,6 +318,7 @@ fn main() {
             threaded: t_par,
             identical: y1 == y2 && y0.len() == y1.len(),
             flam: flam::measure(|| a.matvec_exec(&x, &serial)).1,
+            nnz: Some(a.nnz()),
         });
     }
 
@@ -222,6 +339,7 @@ fn main() {
             threaded: t_par,
             identical: g1.as_slice() == g2.as_slice(),
             flam: flam::measure(|| a.gram_t_dense_checked_exec(budget, &serial)).1,
+            nnz: None,
         });
     }
 
@@ -254,7 +372,61 @@ fn main() {
             threaded: t_serial,
             identical: bits(&x0) == bits(&x1),
             flam: flam::measure(|| chol.solve_mat(&b)).1,
+            nnz: None,
         });
+    }
+
+    // DiskCsr block products at the lockstep panel width of the disk fit
+    // (p = 5): the out-of-core LSQR pass (§III.C.2) on a 20NG-shaped file
+    {
+        let (m, n, per_row, p) = (sc(18_846), sc(26_214), 70, 5);
+        let a = sparse(m, n, per_row, 8);
+        let path = std::env::temp_dir().join(format!("srda-bench-{}.srdacsr", std::process::id()));
+        disk::write_csr(&path, &a).expect("write SRDACSR file");
+        let d = DiskCsr::open(&path).expect("open SRDACSR file");
+        let mut naive = NaiveDiskScan::open(&path);
+        let bits = |v: &[f64]| v.iter().map(|a| a.to_bits()).collect::<Vec<_>>();
+        let shape = format!("{m}x{n} nnz={} p={p}", a.nnz());
+        let flam = (a.nnz() * p) as u64;
+
+        let x: Vec<f64> = (0..n * p).map(|i| noise(11 + i)).collect();
+        let (t_naive, y0) = time_best(reps, || naive.matmul(m, &x, p));
+        let (t_block, y1) = time_best(reps, || {
+            let mut y = vec![0.0; m * p];
+            d.matmul_into(&x, p, &mut y).unwrap();
+            y
+        });
+        rows.push(Row {
+            kernel: "disk_matmul",
+            shape: shape.clone(),
+            naive: t_naive,
+            serial: t_block,
+            threaded: t_block,
+            identical: bits(&y0) == bits(&y1)
+                && columns_match(&x, &y1, p, |xj| d.matvec(xj).unwrap()),
+            flam,
+            nnz: Some(a.nnz()),
+        });
+
+        let u: Vec<f64> = (0..m * p).map(|i| noise(13 + i)).collect();
+        let (t_naive, y0) = time_best(reps, || naive.matmul_t(n, &u, p));
+        let (t_block, y1) = time_best(reps, || {
+            let mut y = vec![0.0; n * p];
+            d.matmul_t_into(&u, p, &mut y).unwrap();
+            y
+        });
+        rows.push(Row {
+            kernel: "disk_matmul_t",
+            shape,
+            naive: t_naive,
+            serial: t_block,
+            threaded: t_block,
+            identical: bits(&y0) == bits(&y1)
+                && columns_match(&u, &y1, p, |uj| d.matvec_t(uj).unwrap()),
+            flam,
+            nnz: Some(a.nnz()),
+        });
+        std::fs::remove_file(&path).ok();
     }
 
     // recorder overhead: the same kernel through a disabled-recorder
@@ -286,11 +458,14 @@ fn main() {
     ));
     json.push_str("  \"kernels\": [\n");
     for (i, r) in rows.iter().enumerate() {
+        let ns_per_nnz = r.nnz.map_or(String::new(), |nnz| {
+            format!("\"ns_per_nnz\": {:.3}, ", ns_per(r.serial, nnz))
+        });
         json.push_str(&format!(
             "    {{\"kernel\": \"{}\", \"shape\": \"{}\", \"naive_s\": {:.6}, \
              \"blocked_serial_s\": {:.6}, \"threaded_s\": {:.6}, \
              \"speedup_blocked_vs_naive\": {:.3}, \"speedup_threaded_vs_serial\": {:.3}, \
-             \"flam\": {}, \"blocked_serial_gflam_per_s\": {:.3}, \"bitwise_identical\": {}}}{}\n",
+             \"flam\": {}, \"blocked_serial_gflam_per_s\": {:.3}, {}\"bitwise_identical\": {}}}{}\n",
             r.kernel,
             r.shape,
             r.naive,
@@ -300,6 +475,7 @@ fn main() {
             r.serial / r.threaded.max(1e-12),
             r.flam,
             r.flam as f64 / r.serial.max(1e-12) / 1e9,
+            ns_per_nnz,
             r.identical,
             if i + 1 < rows.len() { "," } else { "" },
         ));
@@ -322,18 +498,22 @@ fn main() {
 
     println!("wrote {out_path}");
     println!(
-        "{:<18} {:>22} {:>10} {:>10} {:>10} {:>8} {:>9}",
-        "kernel", "shape", "naive(s)", "serial(s)", "par(s)", "Gflam/s", "bitwise"
+        "{:<18} {:>28} {:>10} {:>10} {:>10} {:>8} {:>7} {:>9}",
+        "kernel", "shape", "naive(s)", "serial(s)", "par(s)", "Gflam/s", "ns/nnz", "bitwise"
     );
     for r in &rows {
         println!(
-            "{:<18} {:>22} {:>10.4} {:>10.4} {:>10.4} {:>8.2} {:>9}",
+            "{:<18} {:>28} {:>10.4} {:>10.4} {:>10.4} {:>8.2} {:>7} {:>9}",
             r.kernel,
             r.shape,
             r.naive,
             r.serial,
             r.threaded,
             r.flam as f64 / r.serial.max(1e-12) / 1e9,
+            r.nnz.map_or("-".to_string(), |nnz| format!(
+                "{:.2}",
+                ns_per(r.serial, nnz)
+            )),
             r.identical
         );
     }
