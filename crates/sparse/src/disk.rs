@@ -69,7 +69,8 @@
 //! the order of the historical per-entry scan and of the single-vector
 //! products, so every column is bitwise [`DiskCsr::matvec`] /
 //! [`DiskCsr::matvec_t`] of that column, whatever `p`, the lane grouping
-//! or where the chunk boundaries fall. The unit test
+//! or where the chunk boundaries fall (up to the sign and payload of a NaN
+//! result, which Rust leaves unspecified). The unit test
 //! `lane_kernels_are_bitwise_the_per_entry_scan` keeps the historical
 //! per-entry scan as its oracle.
 
