@@ -14,6 +14,11 @@
 //! words are too many to list, so each is pinned as its length and a
 //! 64-bit FNV-1a digest of the words' little-endian bytes.
 //!
+//! The LDA/RLDA pin covers the cross-product SVD on both Gram sides: a
+//! tall fixture (`m > n`, eigendecomposes `X̄ᵀX̄`) and a wide one
+//! (`m ≤ n`, eigendecomposes `X̄X̄ᵀ`), each fitted by `Lda::default()` and
+//! `Rlda::default()`, and each fit pinned as a length and digest.
+//!
 //! The disk pin is an LSQR fit through [`DiskCsr`], pinned the same way.
 //! Its file puts rows across and exactly on the scan's 4,096-entry chunk
 //! boundaries and starts and ends with an empty row, and its 39 responses
@@ -27,8 +32,8 @@
 //! ```
 
 use srda::{
-    AffinityGraph, CertStatus, Embedding, SpectralRegression, SpectralRegressionConfig, Srda,
-    SrdaConfig, SrdaModel,
+    AffinityGraph, CertStatus, Embedding, Lda, Rlda, SpectralRegression, SpectralRegressionConfig,
+    Srda, SrdaConfig, SrdaModel,
 };
 use srda_linalg::Mat;
 use srda_sparse::{disk, CooBuilder, CsrMatrix, DiskCsr};
@@ -111,6 +116,21 @@ fn dense_primal_tiled() -> Vec<u64> {
 fn dense_dual_tiled() -> Vec<u64> {
     let (x, y) = blobs(10, 53, 600);
     model_bits(&Srda::new(SrdaConfig::default()).fit_dense(&x, &y).unwrap())
+}
+
+/// `Lda::default()` then `Rlda::default()` on a tall 48 × 7 fixture, then
+/// both on a wide 12 × 20 one, each as a length and digest.
+fn lda_and_rlda() -> Vec<(usize, u64)> {
+    [blobs(4, 12, 7), blobs(3, 4, 20)]
+        .iter()
+        .flat_map(|(x, y)| {
+            [
+                Lda::default().fit_dense(x, y).unwrap(),
+                Rlda::default().fit_dense(x, y).unwrap(),
+            ]
+        })
+        .map(|e| digest(&embedding_bits(&e)))
+        .collect()
 }
 
 /// Word count and FNV-1a digest of `bits`.
@@ -288,6 +308,12 @@ const PIN_DENSE_DUAL: &[u64] = &[
 ];
 const PIN_DENSE_PRIMAL_TILED: (usize, u64) = (442, 0xf31aeb575f8279be);
 const PIN_DENSE_DUAL_TILED: (usize, u64) = (5446, 0xa3d00be929ce991f);
+const PIN_LDA_RLDA: &[(usize, u64)] = &[
+    (24, 0xde5fbc777cde3e3d),
+    (24, 0x00d9846a9a15a68b),
+    (63, 0x9423bf1efd95475c),
+    (42, 0x354839d50f34a468),
+];
 const PIN_DISK_LSQR: (usize, u64) = (58695, 0xc045d2f3bac841e9);
 const PIN_SPARSE_DUAL: &[u64] = &[
     0x3fbe460295bdc687,
@@ -389,6 +415,11 @@ fn tiled_dense_dual_fit_keeps_its_bits() {
 }
 
 #[test]
+fn lda_and_rlda_fits_keep_their_bits() {
+    assert_eq!(lda_and_rlda(), PIN_LDA_RLDA);
+}
+
+#[test]
 fn disk_lsqr_fit_keeps_its_bits() {
     assert_eq!(digest(&disk_lsqr()), PIN_DISK_LSQR);
 }
@@ -437,4 +468,9 @@ fn print_pins() {
         let (len, h) = digest(&bits);
         println!("const {name}: (usize, u64) = ({len}, 0x{h:016x});");
     }
+    println!("const PIN_LDA_RLDA: &[(usize, u64)] = &[");
+    for (len, h) in lda_and_rlda() {
+        println!("    ({len}, 0x{h:016x}),");
+    }
+    println!("];");
 }
