@@ -1,6 +1,6 @@
 //! Reproduces the paper's final §III.C.2 claim:
 //!
-//! > "Even [if] the data matrix is too large to be fit into the memory,
+//! > "Even \[if\] the data matrix is too large to be fit into the memory,
 //! > SRDA can still be applied with some reasonable disk I/O."
 //!
 //! A 20NG-like corpus is written to disk in the `SRDACSR2` format and SRDA

@@ -188,15 +188,6 @@ impl AffinityGraph {
             .collect()
     }
 
-    /// Apply the affinity matrix: `y = W·v`.
-    pub fn apply(&self, v: &[f64]) -> Vec<f64> {
-        debug_assert_eq!(v.len(), self.m);
-        self.adj
-            .iter()
-            .map(|a| a.iter().map(|&(j, w)| w * v[j]).sum())
-            .collect()
-    }
-
     /// Materialize the normalized affinity `D^{-1/2} W D^{-1/2}` as a
     /// dense symmetric matrix (for the dense eigenstep). Nodes with zero
     /// degree contribute zero rows/columns.
@@ -233,11 +224,10 @@ mod tests {
 
     #[test]
     fn supervised_ones_vector_is_eigenvector() {
-        // W·1 = 1 (each row sums to 1 in the class graph)
+        // W·1 = 1 (each row sums to 1 in the class graph), and W·1 is the
+        // degree vector
         let g = AffinityGraph::supervised(&[0, 1, 0, 2, 1]);
-        let ones = vec![1.0; 5];
-        let w1 = g.apply(&ones);
-        for v in w1 {
+        for v in g.degrees() {
             assert!((v - 1.0).abs() < 1e-14);
         }
     }

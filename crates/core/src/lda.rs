@@ -21,31 +21,6 @@ use srda_linalg::svd::Svd;
 use srda_linalg::{ExecPolicy, Executor, Mat, SymmetricEigen};
 use srda_obs::Recorder;
 
-/// Which SVD engine factors the centered data matrix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SvdMethod {
-    /// Eigendecompose the smaller Gram matrix (the paper's choice —
-    /// fastest, accuracy limited to ~√ε on relative singular values).
-    #[default]
-    CrossProduct,
-    /// Golub–Reinsch bidiagonalization + QR (the production default in
-    /// LAPACK-lineage libraries; ~ε·σ₁ accuracy).
-    GolubReinsch,
-    /// One-sided Jacobi (slowest, best relative accuracy on tiny values).
-    Jacobi,
-}
-
-impl SvdMethod {
-    /// Run the selected factorization.
-    pub fn factor(self, a: &Mat, tol: f64) -> srda_linalg::Result<Svd> {
-        match self {
-            SvdMethod::CrossProduct => Svd::cross_product(a, tol),
-            SvdMethod::GolubReinsch => Svd::golub_reinsch(a, tol),
-            SvdMethod::Jacobi => Svd::jacobi(a, tol),
-        }
-    }
-}
-
 /// Configuration for classical [`Lda`].
 #[derive(Debug, Clone)]
 pub struct LdaConfig {
@@ -53,8 +28,6 @@ pub struct LdaConfig {
     /// centered data (the SVD preprocessing that guarantees a stable
     /// solution).
     pub rank_tol: f64,
-    /// SVD engine for the centered data (paper: cross-product).
-    pub svd_method: SvdMethod,
     /// Relative tolerance for discarding near-zero eigenvalues of the
     /// reduced between-class problem (caps components at `c − 1`).
     pub eig_tol: f64,
@@ -79,7 +52,6 @@ impl Default for LdaConfig {
     fn default() -> Self {
         LdaConfig {
             rank_tol: 1e-10,
-            svd_method: SvdMethod::default(),
             eig_tol: 1e-9,
             memory_budget_bytes: None,
             exec: ExecPolicy::from_env(),
@@ -133,7 +105,7 @@ impl Lda {
         // Step 1 (§II-B): thin SVD of the centered data via cross-product.
         crate::error::check_governor(self.config.governor.as_ref())?;
         let (xc, mu) = centered(x);
-        let svd = self.config.svd_method.factor(&xc, self.config.rank_tol)?;
+        let svd = Svd::cross_product(&xc, self.config.rank_tol)?;
         let r = svd.rank();
         if r == 0 {
             // all samples identical: no discriminant directions exist
@@ -336,37 +308,6 @@ mod tests {
         let min1 = (3..6).map(|i| z[(i, 0)]).fold(f64::MAX, f64::min);
         let gap = (min1 - max0).abs();
         assert!(gap > 0.0);
-    }
-
-    #[test]
-    fn svd_methods_give_same_discriminant_subspace() {
-        let (x, y) = blobs3(5.0);
-        let fit = |method: SvdMethod| {
-            Lda::new(LdaConfig {
-                svd_method: method,
-                ..LdaConfig::default()
-            })
-            .fit_dense(&x, &y)
-            .unwrap()
-        };
-        let base = fit(SvdMethod::CrossProduct);
-        for method in [SvdMethod::GolubReinsch, SvdMethod::Jacobi] {
-            let other = fit(method);
-            assert_eq!(base.n_components(), other.n_components());
-            let cols: Vec<Vec<f64>> = (0..other.n_components())
-                .map(|j| other.weights().col(j))
-                .collect();
-            let basis = srda_linalg::gram_schmidt::orthonormalize(&cols, 1e-10);
-            for j in 0..base.n_components() {
-                let mut a = base.weights().col(j);
-                srda_linalg::vector::normalize(&mut a);
-                let proj: f64 = basis
-                    .iter()
-                    .map(|b| srda_linalg::vector::dot(b, &a).powi(2))
-                    .sum();
-                assert!(proj > 1.0 - 1e-6, "{method:?} direction {j}: {proj}");
-            }
-        }
     }
 
     #[test]

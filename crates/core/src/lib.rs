@@ -73,18 +73,18 @@ pub use graph::{AffinityGraph, EdgeWeight};
 pub use idr_qr::{IdrQr, IdrQrConfig};
 pub use kernel::{Kernel, KernelSrda, KernelSrdaConfig, KernelSrdaModel};
 pub use labels::ClassIndex;
-pub use lda::{Lda, LdaConfig, SvdMethod};
+pub use lda::{Lda, LdaConfig};
 pub use model::Embedding;
 pub use pca::{Fisherfaces, FisherfacesConfig, Pca, PcaConfig, PcaModel};
 pub use report::{
     CertStatus, FitReport, QuarantineSummary, RecoveryAction, ResponseSolver, SolveCertificate,
 };
 pub use rlda::{Rlda, RldaConfig};
-pub use spectral_regression::{GraphEigensolver, SpectralRegression, SpectralRegressionConfig};
+pub use spectral_regression::{SpectralRegression, SpectralRegressionConfig};
 pub use srda::{
     CheckpointPolicy, FitOutcome, InterruptedFit, Srda, SrdaConfig, SrdaModel, SrdaSolver,
 };
-pub use srda_linalg::{Backend, ExecPolicy, Executor};
+pub use srda_linalg::{ExecPolicy, Executor};
 pub use srda_obs::{IterationRecord, ObsReport, Recorder, SolverTrace, TRACE_ENV};
 pub use srda_solvers::{CancelToken, CheckpointError, Interrupt, RunBudget, RunGovernor};
 

@@ -22,7 +22,7 @@ use crate::model::Embedding;
 use crate::{Result, SrdaError};
 use srda_linalg::ops::{matmul_exec, matvec_t_exec, scale_rows};
 use srda_linalg::stats::centered;
-use srda_linalg::{ExecPolicy, Executor, Mat};
+use srda_linalg::{ExecPolicy, Executor, Mat, Svd};
 use srda_obs::Recorder;
 
 /// Configuration for [`Rlda`].
@@ -32,8 +32,6 @@ pub struct RldaConfig {
     pub alpha: f64,
     /// Relative SVD rank-truncation tolerance.
     pub rank_tol: f64,
-    /// SVD engine for the centered data (paper: cross-product).
-    pub svd_method: crate::lda::SvdMethod,
     /// Relative eigenvalue cut for the reduced problem.
     pub eig_tol: f64,
     /// Optional memory budget in bytes (same guard as LDA's — RLDA also
@@ -58,7 +56,6 @@ impl Default for RldaConfig {
         RldaConfig {
             alpha: 1.0,
             rank_tol: 1e-10,
-            svd_method: crate::lda::SvdMethod::default(),
             eig_tol: 1e-9,
             memory_budget_bytes: None,
             exec: ExecPolicy::from_env(),
@@ -108,7 +105,7 @@ impl Rlda {
 
         crate::error::check_governor(self.config.governor.as_ref())?;
         let (xc, mu) = centered(x);
-        let svd = self.config.svd_method.factor(&xc, self.config.rank_tol)?;
+        let svd = Svd::cross_product(&xc, self.config.rank_tol)?;
         let r = svd.rank();
         if r == 0 {
             return Embedding::new(Mat::zeros(n, 0), vec![]);

@@ -27,20 +27,6 @@ use srda_linalg::{ExecPolicy, Mat, SymmetricEigen};
 use srda_obs::Recorder;
 use srda_solvers::{AugmentedOp, ExecDense};
 
-/// How the spectral step's eigenvectors are computed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum GraphEigensolver {
-    /// Materialize the normalized affinity and run the dense symmetric
-    /// eigensolver — `O(m³)`, exact, fine up to a few thousand samples.
-    #[default]
-    Dense,
-    /// Matrix-free deflated power iteration on the (shifted) normalized
-    /// affinity — `O(edges)` per iteration, the right choice for large
-    /// sparse graphs. The spectrum lies in `[−1, 1]`, so the operator is
-    /// shifted by `+I` to make it PSD before iterating.
-    PowerIteration,
-}
-
 /// Configuration for the generic spectral-regression estimator.
 #[derive(Debug, Clone)]
 pub struct SpectralRegressionConfig {
@@ -51,8 +37,6 @@ pub struct SpectralRegressionConfig {
     pub alpha: f64,
     /// Use LSQR (with this iteration budget) instead of normal equations.
     pub lsqr_iterations: Option<usize>,
-    /// Eigensolver for the spectral step.
-    pub eigensolver: GraphEigensolver,
     /// Execution backend for the regression step's products (defaults to
     /// [`ExecPolicy::from_env`]).
     pub exec: ExecPolicy,
@@ -73,7 +57,6 @@ impl Default for SpectralRegressionConfig {
             n_components: 2,
             alpha: 1.0,
             lsqr_iterations: None,
-            eigensolver: GraphEigensolver::Dense,
             exec: ExecPolicy::from_env(),
             governor: None,
             recorder: Recorder::from_env(),
@@ -113,38 +96,11 @@ impl SpectralRegression {
             .map(|&x| if x > 0.0 { 1.0 / x.sqrt() } else { 0.0 })
             .collect();
 
-        // eigenvector columns of D^{-1/2} W D^{-1/2}, by either engine
-        let eigenvectors: Vec<Vec<f64>> = match self.config.eigensolver {
-            GraphEigensolver::Dense => {
-                let w = graph.normalized_dense();
-                let eig = SymmetricEigen::factor(&w)?;
-                (0..m).map(|idx| eig.vectors.col(idx)).collect()
-            }
-            GraphEigensolver::PowerIteration => {
-                // matrix-free: v ↦ D^{-1/2} W D^{-1/2} v + v (the +I shift
-                // makes the operator PSD; the eigenvector ORDER for the
-                // shifted spectrum matches the unshifted one)
-                let apply = |v: &[f64]| {
-                    let scaled: Vec<f64> = v.iter().zip(&inv_sqrt).map(|(a, b)| a * b).collect();
-                    let wv = graph.apply(&scaled);
-                    wv.iter()
-                        .zip(&inv_sqrt)
-                        .zip(v)
-                        .map(|((a, b), orig)| a * b + orig)
-                        .collect()
-                };
-                // +1 extra pair to cover the trivial eigenvector that the
-                // deflation below will consume
-                let k = (self.config.n_components + 1).min(m);
-                let top = srda_linalg::power::top_k_symmetric(
-                    m,
-                    k,
-                    apply,
-                    &srda_linalg::power::PowerConfig::default(),
-                );
-                top.vectors
-            }
-        };
+        // eigenvector columns of D^{-1/2} W D^{-1/2}, by the dense
+        // symmetric eigensolver: O(m³), exact, fine up to a few thousand
+        // samples
+        let eig = SymmetricEigen::factor(&graph.normalized_dense())?;
+        let eigenvectors = (0..m).map(|idx| eig.vectors.col(idx));
 
         // the trivial eigenvector is D^{1/2}·1 (eigenvalue = spectral max
         // for a connected graph). Deflate by orthogonality instead of
@@ -392,40 +348,6 @@ mod tests {
             iterative.weights(),
             1e-6 * direct.weights().max_abs().max(1.0)
         ));
-    }
-
-    #[test]
-    fn power_iteration_engine_matches_dense_on_class_graph() {
-        let (x, y) = blobs();
-        let graph = AffinityGraph::supervised(&y);
-        let dense = SpectralRegression::new(SpectralRegressionConfig {
-            n_components: 2,
-            alpha: 1.0,
-            ..Default::default()
-        })
-        .fit_dense(&x, &graph)
-        .unwrap();
-        let power = SpectralRegression::new(SpectralRegressionConfig {
-            n_components: 2,
-            alpha: 1.0,
-            eigensolver: GraphEigensolver::PowerIteration,
-            ..Default::default()
-        })
-        .fit_dense(&x, &graph)
-        .unwrap();
-        // responses differ by a rotation of the eigenvalue-1 eigenspace, so
-        // compare spanned weight subspaces
-        let cols: Vec<Vec<f64>> = (0..2).map(|j| dense.weights().col(j)).collect();
-        let basis = srda_linalg::gram_schmidt::orthonormalize(&cols, 1e-10);
-        for j in 0..2 {
-            let mut v = power.weights().col(j);
-            srda_linalg::vector::normalize(&mut v);
-            let proj: f64 = basis
-                .iter()
-                .map(|b| srda_linalg::vector::dot(b, &v).powi(2))
-                .sum();
-            assert!(proj > 1.0 - 1e-4, "weight {j}: proj {proj}");
-        }
     }
 
     #[test]

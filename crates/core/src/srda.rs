@@ -229,7 +229,8 @@ pub struct SrdaModel {
 /// The data a fit's normal equations are built from. A fit through any
 /// other operator has none, so only LSQR fits it.
 pub(crate) enum Design<'a> {
-    /// Dense samples as rows; the direct path materializes `X̃ = [X | 1]`.
+    /// Dense samples as rows; the direct path reads `X̃ = [X | 1]` from
+    /// `X` in place, the bias lane added by the kernels.
     Dense(&'a Mat),
     /// Sparse samples as rows, never densified.
     Sparse(&'a CsrMatrix),
@@ -706,23 +707,19 @@ fn record_lsqr_response(
         .push(ResponseSolver::Lsqr { iterations, stop });
 }
 
-/// The bytes of the matrices `RidgeSystem::dense` materializes for `x`
-/// (`m × n`), and what they are: the `(n+1)²` primal Gram when `n < m`
-/// (it reads `X` in place), else the augmented copy `X̃ = [X | 1]` kept
-/// for the back-projection plus the `m²` dual Gram.
+/// The bytes of the matrix `RidgeSystem::dense` materializes for `x`
+/// (`m × n`), and what it is: the `(n+1)²` primal Gram when `n < m`, else
+/// the `m²` dual Gram. Both branches read `X` in place.
 fn dense_system_bytes(x: &Mat) -> (usize, &'static str) {
-    let (m, n1) = (x.nrows(), x.ncols().saturating_add(1));
+    let m = x.nrows();
     if x.ncols() < m {
+        let n1 = x.ncols() + 1;
         (
             n1.saturating_mul(n1).saturating_mul(8),
             "primal Gram matrix",
         )
     } else {
-        let words = m.saturating_mul(n1).saturating_add(m.saturating_mul(m));
-        (
-            words.saturating_mul(8),
-            "augmented data matrix and dual Gram matrix",
-        )
+        (m.saturating_mul(m).saturating_mul(8), "dual Gram matrix")
     }
 }
 
@@ -829,11 +826,11 @@ impl LinearOperator for PanelOp<'_> {
     fn ncols(&self) -> usize {
         self.inner.ncols()
     }
-    fn apply(&self, x: &[f64]) -> Vec<f64> {
-        self.inner.apply(x)
+    fn apply_into(&self, x: &[f64], y: &mut [f64]) {
+        self.inner.apply_into(x, y)
     }
-    fn apply_t(&self, x: &[f64]) -> Vec<f64> {
-        self.inner.apply_t(x)
+    fn apply_t_into(&self, x: &[f64], y: &mut [f64]) {
+        self.inner.apply_t_into(x, y)
     }
     fn apply_block_into(&self, x: &[f64], p: usize, y: &mut [f64]) {
         let _span = srda_obs::span!(self.recorder, "fit/lsqr/panel[{}]/apply", self.panel);
@@ -1424,10 +1421,11 @@ mod tests {
             }) => {}
             other => panic!("primal Gram over budget: {other:?}"),
         }
-        // wide (8 × 40, blobs): X̃ is 8 · 41 and the dual Gram 8 · 8 words
+        // wide (8 × 40, blobs): the dual Gram is 8 · 8 words, and the
+        // augmented copy it no longer builds would be 8 · 41 more
         let (xw, yw) = blobs();
         let wide = Mat::from_fn(8, 40, |i, j| xw[(i, j % xw.ncols())] + j as f64 * 0.01);
-        let need = (8 * 41 + 8 * 8) * 8;
+        let need = 8 * 8 * 8;
         let refused = Srda::new(SrdaConfig {
             memory_budget_bytes: Some(need - 1),
             ..SrdaConfig::default()
@@ -1436,7 +1434,7 @@ mod tests {
         match refused {
             Err(SrdaError::MemoryBudgetExceeded {
                 needed_bytes,
-                context: "augmented data matrix and dual Gram matrix",
+                context: "dual Gram matrix",
                 ..
             }) => assert_eq!(needed_bytes, need),
             other => panic!("dual fit over budget: {other:?}"),
@@ -1792,10 +1790,10 @@ mod tests {
         fn ncols(&self) -> usize {
             self.cols
         }
-        fn apply(&self, _: &[f64]) -> Vec<f64> {
+        fn apply_into(&self, _: &[f64], _: &mut [f64]) {
             unreachable!("a shape has no products")
         }
-        fn apply_t(&self, _: &[f64]) -> Vec<f64> {
+        fn apply_t_into(&self, _: &[f64], _: &mut [f64]) {
             unreachable!("a shape has no products")
         }
         fn shares_block_passes(&self) -> bool {
@@ -1873,12 +1871,6 @@ mod tests {
         }
         fn ncols(&self) -> usize {
             self.0.ncols()
-        }
-        fn apply(&self, x: &[f64]) -> Vec<f64> {
-            LinearOperator::apply(self.0, x)
-        }
-        fn apply_t(&self, x: &[f64]) -> Vec<f64> {
-            LinearOperator::apply_t(self.0, x)
         }
         fn apply_into(&self, x: &[f64], y: &mut [f64]) {
             LinearOperator::apply_into(self.0, x, y)

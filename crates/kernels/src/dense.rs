@@ -17,7 +17,7 @@
 //! reloaded from the output between passes, so every entry keeps the
 //! historical ascending-row sum. The threads split the output rows in
 //! whole tiles of near-equal work. The other kernels work in row panels of
-//! [`crate::ExecPolicy::block_size`] rows.
+//! 64 rows (the crate's row-block constant).
 
 use crate::Executor;
 

@@ -3,10 +3,11 @@
 //! Every hot kernel in the workspace — dense GEMM/Gram products in
 //! `srda-linalg`, CSR products in `srda-sparse`, and the operator loops in
 //! `srda-solvers` — routes through this crate. It provides a single
-//! [`Executor`] abstraction with two backends:
+//! [`Executor`] abstraction with two backends, chosen by
+//! [`ExecPolicy::n_threads`]:
 //!
-//! * [`Backend::Serial`] — single-threaded, cache-blocked loops.
-//! * [`Backend::Threaded`] — the same blocked loops fanned out over
+//! * serial (`n_threads ≤ 1`) — single-threaded, cache-blocked loops.
+//! * threaded (`n_threads > 1`) — the same blocked loops fanned out over
 //!   `std::thread::scope` with the output partitioned into disjoint
 //!   row blocks (no locks, no unsafe).
 //!
@@ -32,47 +33,35 @@ pub mod sparse;
 
 pub use srda_obs::Recorder;
 
-/// Which execution strategy an [`Executor`] uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Backend {
-    /// Single-threaded blocked loops.
-    Serial,
-    /// `std::thread::scope` fan-out over disjoint row blocks.
-    Threaded,
-}
-
 /// Fixed row-block size for reduction kernels (`matvec_t` and the CSR
 /// equivalent). This is a *determinism* constant, not a tuning knob: the
-/// partial-sum grouping must not depend on the thread count or the policy
-/// block size, otherwise `Serial` and `Threaded` results would diverge in
-/// the last bits. Inputs with at most this many rows take the single-block
-/// path, which is bit-identical to the historical serial scatter loop.
+/// partial-sum grouping must not depend on the thread count, otherwise
+/// serial and threaded results would diverge in the last bits. Inputs
+/// with at most this many rows take the single-block path, which is
+/// bit-identical to the historical serial scatter loop.
 pub const REDUCE_BLOCK_ROWS: usize = 1024;
 
-/// Execution policy threaded through `SrdaConfig` and the CLI.
+/// Row-block granularity of [`Executor::for_each_row_block`]: the output
+/// row panels of `dense::{gemm, gemm_transb, gram_t, matvec}`,
+/// `sparse::{csr_matvec, csr_matmul_dense, csr_gram_t}` and the kernel-SRDA
+/// Gram matrices. `dense::{gram, gemm_transa}` and their `_augmented`
+/// forms do not read it: their register tiles split the output into one
+/// span per thread. Purely a performance constant: results are identical
+/// for every positive value.
+const ROW_BLOCK: usize = 64;
+
+/// Execution policy threaded through `SrdaConfig` and the CLI: how many
+/// worker threads the kernels fan out over. One (the default) is the
+/// serial backend; more than one is the threaded backend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecPolicy {
-    /// Backend selection.
-    pub backend: Backend,
-    /// Worker threads used by [`Backend::Threaded`]; ignored by `Serial`.
+    /// Worker threads; at most 1 means serial.
     pub n_threads: usize,
-    /// Row-block granularity of [`Executor::for_each_row_block`]: the
-    /// output row panels of `dense::{gemm, gemm_transb, gram_t, matvec}`,
-    /// `sparse::{csr_matvec, csr_matmul_dense, csr_gram_t}` and the
-    /// kernel-SRDA Gram matrices. `dense::{gram, gemm_transa}` and their
-    /// `_augmented` forms do not read it: their register tiles split the
-    /// output into one span per thread. Purely a performance knob:
-    /// results are identical for every positive value.
-    pub block_size: usize,
 }
 
 impl Default for ExecPolicy {
     fn default() -> Self {
-        Self {
-            backend: Backend::Serial,
-            n_threads: 1,
-            block_size: 64,
-        }
+        Self { n_threads: 1 }
     }
 }
 
@@ -84,15 +73,8 @@ impl ExecPolicy {
 
     /// Threaded policy with `n_threads` workers (clamped to at least 1).
     pub fn threaded(n_threads: usize) -> Self {
-        let n = n_threads.max(1);
         Self {
-            backend: if n > 1 {
-                Backend::Threaded
-            } else {
-                Backend::Serial
-            },
-            n_threads: n,
-            ..Self::default()
+            n_threads: n_threads.max(1),
         }
     }
 
@@ -158,11 +140,6 @@ impl Executor {
         Self::with_recorder(ExecPolicy::from_env(), Recorder::from_env())
     }
 
-    /// The policy this executor runs under.
-    pub fn policy(&self) -> ExecPolicy {
-        self.policy
-    }
-
     /// The observability handle this executor reports to.
     pub fn recorder(&self) -> Recorder {
         self.recorder
@@ -170,9 +147,10 @@ impl Executor {
 
     /// Short backend name for telemetry (`"serial"` / `"threaded"`).
     pub fn backend_name(&self) -> &'static str {
-        match self.policy.backend {
-            Backend::Serial => "serial",
-            Backend::Threaded => "threaded",
+        if self.threads() > 1 {
+            "threaded"
+        } else {
+            "serial"
         }
     }
 
@@ -184,21 +162,13 @@ impl Executor {
         self.recorder.add(name, 1);
     }
 
-    /// Effective worker count: 1 for `Serial`, `n_threads` for `Threaded`.
+    /// Effective worker count: `n_threads`, and at least 1.
     pub fn threads(&self) -> usize {
-        match self.policy.backend {
-            Backend::Serial => 1,
-            Backend::Threaded => self.policy.n_threads.max(1),
-        }
-    }
-
-    /// Row-block granularity (always at least 1).
-    pub fn block_rows(&self) -> usize {
-        self.policy.block_size.max(1)
+        self.policy.n_threads.max(1)
     }
 
     /// Partition `out` (row-major, `row_width` values per row) into
-    /// contiguous blocks of at most [`Self::block_rows`] rows and invoke
+    /// contiguous blocks of at most `ROW_BLOCK` (64) rows and invoke
     /// `f(first_row, block)` on each. Blocks are distributed contiguously
     /// over the worker threads; since each output row belongs to exactly
     /// one block, the result is independent of the thread count.
@@ -211,7 +181,7 @@ impl Executor {
         }
         debug_assert_eq!(out.len() % row_width, 0);
         let rows = out.len() / row_width;
-        let bs = self.block_rows();
+        let bs = ROW_BLOCK;
         let n_blocks = rows.div_ceil(bs);
         let t = self.threads().min(n_blocks);
         if t <= 1 {
@@ -356,11 +326,12 @@ mod tests {
 
     #[test]
     fn policy_from_threads() {
-        assert_eq!(ExecPolicy::threaded(0).backend, Backend::Serial);
-        assert_eq!(ExecPolicy::threaded(1).backend, Backend::Serial);
-        let p = ExecPolicy::threaded(4);
-        assert_eq!(p.backend, Backend::Threaded);
-        assert_eq!(p.n_threads, 4);
+        for (n, threads, name) in [(0, 1, "serial"), (1, 1, "serial"), (4, 4, "threaded")] {
+            let exec = Executor::threaded(n);
+            assert_eq!(exec.threads(), threads);
+            assert_eq!(exec.backend_name(), name);
+        }
+        assert_eq!(ExecPolicy::threaded(4).n_threads, 4);
     }
 
     #[test]

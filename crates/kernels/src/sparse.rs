@@ -22,6 +22,15 @@ pub struct CsrView<'a> {
     pub values: &'a [f64],
 }
 
+impl<'a> CsrView<'a> {
+    /// Row `i`'s column indices and values, as two slices of equal length.
+    #[inline]
+    fn row(&self, i: usize) -> (&'a [usize], &'a [f64]) {
+        let span = self.indptr[i]..self.indptr[i + 1];
+        (&self.indices[span.clone()], &self.values[span])
+    }
+}
+
 /// `y = A·x`: row-parallel gather, one pass over the non-zeros.
 ///
 /// Per-row accumulation order is the stored (ascending-column) order, same
@@ -33,10 +42,10 @@ pub fn csr_matvec(exec: &Executor, a: CsrView<'_>, x: &[f64], y: &mut [f64]) {
     debug_assert_eq!(a.indptr.len(), a.rows + 1);
     exec.for_each_row_block(y, 1, |first, block| {
         for (off, yv) in block.iter_mut().enumerate() {
-            let i = first + off;
+            let (cols, vals) = a.row(first + off);
             let mut acc = 0.0;
-            for k in a.indptr[i]..a.indptr[i + 1] {
-                acc += a.values[k] * x[a.indices[k]];
+            for (&j, &v) in cols.iter().zip(vals) {
+                acc += v * x[j];
             }
             *yv = acc;
         }
@@ -60,8 +69,9 @@ pub fn csr_matvec_t(exec: &Executor, a: CsrView<'_>, x: &[f64], y: &mut [f64]) {
             if xi == 0.0 {
                 continue;
             }
-            for k in a.indptr[i]..a.indptr[i + 1] {
-                partial[a.indices[k]] += a.values[k] * xi;
+            let (cols, vals) = a.row(i);
+            for (&j, &v) in cols.iter().zip(vals) {
+                partial[j] += v * xi;
             }
         }
     });
@@ -76,10 +86,9 @@ pub fn csr_matmul_dense(exec: &Executor, a: CsrView<'_>, b: &[f64], p: usize, c:
     exec.for_each_row_block(c, p.max(1), |first, block| {
         block.fill(0.0);
         for (off, crow) in block.chunks_mut(p.max(1)).enumerate() {
-            let i = first + off;
-            for k in a.indptr[i]..a.indptr[i + 1] {
-                let v = a.values[k];
-                let brow = &b[a.indices[k] * p..(a.indices[k] + 1) * p];
+            let (cols, vals) = a.row(first + off);
+            for (&j, &v) in cols.iter().zip(vals) {
+                let brow = &b[j * p..(j + 1) * p];
                 for (cv, &bv) in crow.iter_mut().zip(brow) {
                     *cv += v * bv;
                 }

@@ -100,8 +100,8 @@ impl Cholesky {
     /// across `c − 1` systems.
     ///
     /// Each direction sweeps `L` once for all `k` columns, on a row-major
-    /// working copy padded to whole [`SOLVE_COLS`]-wide lanes: a register
-    /// tile of [`SOLVE_ROWS`] rows × one lane runs over every `L` entry left
+    /// working copy padded to whole `SOLVE_COLS`-wide lanes: a register
+    /// tile of `SOLVE_ROWS` rows × one lane runs over every `L` entry left
     /// (forward) or below (backward) its rows. Every column keeps the exact
     /// operation order of [`solve_inplace`](Self::solve_inplace), and the
     /// result, a [`LinalgError::Singular`] pivot and the flam count

@@ -29,7 +29,7 @@ pub enum LinalgError {
         /// Value of the failing pivot.
         value: f64,
     },
-    /// LU factorization or a triangular solve hit an exactly-zero pivot.
+    /// A triangular solve hit an exactly-zero pivot.
     Singular {
         /// Index of the zero pivot.
         pivot: usize,

@@ -18,15 +18,14 @@
 //!   paper's *cross-product* SVD.
 //! * [`svd`] — singular value decomposition two ways: the cross-product
 //!   method the paper analyzes in §II-B (eigendecompose the smaller Gram
-//!   matrix, recover the other side) and one-sided Jacobi as a
-//!   high-accuracy cross-check.
+//!   matrix, recover the other side), which every LDA/RLDA fit runs, and
+//!   one-sided Jacobi as a high-accuracy cross-check.
 //! * [`cholesky`] — SPD factorization used to solve SRDA's regularized
 //!   normal equations (Eqn 18/20 of the paper), with a Hager 1-norm
 //!   condition estimator for solution certification.
 //! * [`refine`] — fixed-precision iterative refinement (compensated
 //!   residuals + correction solves against the existing factor), the
 //!   backward-error repair step of the certified-solve pipeline.
-//! * [`lu`] — LU with partial pivoting (general solves, test oracles).
 //! * [`gram_schmidt`] — modified Gram-Schmidt with reorthogonalization,
 //!   used verbatim by SRDA's response-generation step (§III.B step 1).
 //! * [`flam`] — global operation counters measuring *flam* (one addition
@@ -48,14 +47,11 @@ pub mod error;
 #[cfg(feature = "failpoints")]
 pub mod failpoint;
 pub mod flam;
-pub mod golub_reinsch;
 pub mod gram_schmidt;
 pub mod io;
-pub mod lu;
 pub mod matrix;
 pub mod matrix_ops;
 pub mod ops;
-pub mod power;
 pub mod qr;
 pub mod refine;
 pub mod stats;
@@ -67,14 +63,13 @@ pub mod vector;
 pub use cholesky::Cholesky;
 pub use eigen::SymmetricEigen;
 pub use error::LinalgError;
-pub use lu::Lu;
 pub use matrix::Mat;
 pub use qr::Qr;
 pub use svd::Svd;
 
 // Execution backend: re-exported so downstream crates (solvers, core, cli)
 // can name policies without depending on srda-kernels directly.
-pub use srda_kernels::{Backend, ExecPolicy, Executor};
+pub use srda_kernels::{ExecPolicy, Executor};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, LinalgError>;

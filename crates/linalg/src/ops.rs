@@ -6,7 +6,7 @@
 //! serial executor, so existing callers keep bit-identical results. The
 //! kernels are blocked for cache locality — the Gram and `Aᵀ·B` products
 //! in register tiles over packed panels, the rest in row panels — and,
-//! under [`srda_kernels::Backend::Threaded`], row-partitioned across
+//! on a threaded [`Executor`], row-partitioned across
 //! scoped threads with a fixed deterministic reduction order, so neither
 //! the blocking nor the backend changes the numbers, only the wall-clock.
 //! The `*_augmented_exec` products read the bias-augmented `[A | 1]`

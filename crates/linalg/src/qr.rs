@@ -252,7 +252,7 @@ mod tests {
         // normal equations oracle: AᵀA x = Aᵀ b
         let g = crate::ops::gram(&a);
         let atb = crate::ops::matvec_t(&a, &b).unwrap();
-        let x2 = crate::lu::Lu::factor(&g).unwrap().solve(&atb).unwrap();
+        let x2 = crate::Cholesky::factor(&g).unwrap().solve(&atb).unwrap();
         for (u, v) in x.iter().zip(&x2) {
             assert!((u - v).abs() < 1e-8, "{u} vs {v}");
         }

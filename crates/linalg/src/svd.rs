@@ -85,13 +85,6 @@ impl Svd {
         }
     }
 
-    /// Golub–Reinsch SVD (Householder bidiagonalization + implicit-shift
-    /// QR): the `O(mn²)` production method. See [`crate::golub_reinsch`]
-    /// for the accuracy/cost positioning of the three methods.
-    pub fn golub_reinsch(a: &Mat, tol: f64) -> Result<Self> {
-        crate::golub_reinsch::golub_reinsch_svd(a, tol)
-    }
-
     /// One-sided Jacobi SVD: iteratively orthogonalizes column pairs with
     /// plane rotations. Accurate for small singular values (no squaring of
     /// the condition number) but asymptotically slower than

@@ -1,6 +1,6 @@
 //! Triangular solves (forward and back substitution).
 //!
-//! Used by the Cholesky and LU solvers, and directly by SRDA's
+//! Used by the Cholesky solver, and directly by SRDA's
 //! normal-equations path: after one Cholesky factorization `XᵀX + αI = RᵀR`
 //! the `c − 1` response systems are each solved with one forward and one
 //! back substitution (the `cn²` term in the paper's cost analysis).

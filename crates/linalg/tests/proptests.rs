@@ -8,7 +8,7 @@ use srda_linalg::ops::{
     gram, gram_exec, gram_t_exec, matmul, matmul_exec, matmul_transa, matmul_transa_exec,
     matmul_transb, matmul_transb_exec, matvec, matvec_exec, matvec_t, matvec_t_exec,
 };
-use srda_linalg::{Cholesky, Executor, Lu, Mat, Qr, SymmetricEigen};
+use srda_linalg::{Cholesky, Executor, Mat, Qr, SymmetricEigen};
 use srda_rng::{check, SplitMix64};
 
 const CASES: u32 = 64;
@@ -123,25 +123,6 @@ fn cholesky_solves_spd_systems() {
 }
 
 #[test]
-fn lu_solve_has_small_residual() {
-    check(CASES, |rng| {
-        let a = square(rng, 8);
-        // (near-)singular draws have no residual bound to check
-        let lu = match Lu::factor(&a) {
-            Ok(l) if l.det().abs() > 1e-6 => l,
-            _ => return,
-        };
-        let b: Vec<f64> = (0..a.nrows()).map(|i| 1.0 + i as f64).collect();
-        let x = lu.solve(&b).unwrap();
-        let ax = matvec(&a, &x).unwrap();
-        let scale = a.max_abs().max(1.0);
-        for (u, v) in ax.iter().zip(&b) {
-            assert!((u - v).abs() < 1e-5 * scale * a.nrows() as f64);
-        }
-    });
-}
-
-#[test]
 fn qr_reconstructs_and_q_orthonormal() {
     check(CASES, |rng| {
         // tall or square: m ≥ n
@@ -210,61 +191,20 @@ fn gram_schmidt_output_is_orthonormal() {
 }
 
 #[test]
-fn power_iteration_matches_dense_leading_pair() {
-    check(CASES, |rng| {
-        let a = square(rng, 8);
-        // build an SPD matrix so the power method's assumptions hold
-        let mut g = gram(&a);
-        g.add_to_diag(0.5);
-        let dense = SymmetricEigen::factor(&g).unwrap();
-        let top = srda_linalg::power::top_k_symmetric(
-            g.nrows(),
-            1,
-            |v| matvec(&g, v).unwrap(),
-            &srda_linalg::power::PowerConfig::default(),
-        );
-        if top.values.is_empty() {
-            return;
-        }
-        // leading eigenvalue agrees; direction agrees up to sign when the
-        // gap is non-degenerate
-        assert!(
-            (top.values[0] - dense.values[0]).abs() < 1e-6 * dense.values[0].max(1.0),
-            "{} vs {}",
-            top.values[0],
-            dense.values[0]
-        );
-        if dense.values.len() > 1 && dense.values[0] - dense.values[1] > 1e-3 * dense.values[0] {
-            let dot = srda_linalg::vector::dot(&top.vectors[0], &dense.vectors.col(0));
-            assert!(dot.abs() > 1.0 - 1e-5, "|dot| = {}", dot.abs());
-        }
-    });
-}
-
-#[test]
-fn three_svd_methods_agree() {
+fn two_svd_methods_agree() {
     check(CASES, |rng| {
         let a = mat(rng, 9);
         let j = srda_linalg::Svd::jacobi(&a, 1e-11).unwrap();
-        let g = srda_linalg::Svd::golub_reinsch(&a, 1e-11).unwrap();
         let c = srda_linalg::Svd::cross_product(&a, 1e-6).unwrap();
-        // jacobi and golub-reinsch agree on every retained singular value
-        assert_eq!(j.rank(), g.rank());
         let smax = j.s.first().copied().unwrap_or(0.0).max(1e-300);
-        for (x, y) in j.s.iter().zip(&g.s) {
-            assert!((x - y).abs() < 1e-8 * smax, "{x} vs {y}");
-        }
         // cross-product agrees on the values above its √ε noise floor
         for (x, y) in c.s.iter().zip(&j.s) {
             if *y > 1e-5 * smax {
                 assert!((x - y).abs() < 1e-5 * smax, "{x} vs {y}");
             }
         }
-        // all reconstruct
-        for svd in [&j, &g] {
-            let recon = svd.reconstruct().unwrap();
-            assert!(recon.approx_eq(&a, 1e-8 * a.max_abs().max(1.0)));
-        }
+        let recon = j.reconstruct().unwrap();
+        assert!(recon.approx_eq(&a, 1e-8 * a.max_abs().max(1.0)));
     });
 }
 

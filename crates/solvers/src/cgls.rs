@@ -1,6 +1,6 @@
 //! CGLS: conjugate gradient applied to the regularized normal equations.
 //!
-//! Solves the same problem as [`crate::lsqr`] — `min ‖Ax − b‖² + α‖x‖²` —
+//! Solves the same problem as [`crate::lsqr`](mod@crate::lsqr) — `min ‖Ax − b‖² + α‖x‖²` —
 //! by running CG on `(AᵀA + αI)x = Aᵀb` without ever forming `AᵀA`. In
 //! exact arithmetic CGLS and LSQR generate identical iterates; in floating
 //! point LSQR is the more stable of the two, which is why the paper (and

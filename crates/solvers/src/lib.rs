@@ -13,7 +13,7 @@
 //!   of the paper's §III.B trick without copying the data) and
 //!   [`operator::CenteredOp`] (applies `X − 1μᵀ` implicitly, never
 //!   densifying a sparse matrix).
-//! * [`lsqr`] — the LSQR algorithm of Paige & Saunders (ACM TOMS 1982)
+//! * [`lsqr`](mod@lsqr) — the LSQR algorithm of Paige & Saunders (ACM TOMS 1982)
 //!   with damping `√α`, the paper's linear-time engine (§III.C.2).
 //! * [`cgls`] — conjugate-gradient on the regularized normal equations,
 //!   a second iterative engine used for cross-checks and ablations.

@@ -90,7 +90,7 @@ pub enum StopReason {
     /// **never** NaN-contaminated.
     Diverged,
     /// The damped residual made no relative progress for
-    /// [`STAGNATION_WINDOW`] consecutive iterations (detected only when
+    /// `STAGNATION_WINDOW` consecutive iterations (detected only when
     /// `tol > 0`): the iteration is wedged at its attainable floor and
     /// further matvecs are wasted work.
     Stagnated,
@@ -1101,19 +1101,6 @@ impl<A: LinearOperator + ?Sized> LinearOperator for DampedStackOp<'_, A> {
     fn ncols(&self) -> usize {
         self.inner.ncols()
     }
-    fn apply(&self, x: &[f64]) -> Vec<f64> {
-        let mut y = self.inner.apply(x);
-        y.extend(x.iter().map(|v| self.damp * v));
-        y
-    }
-    fn apply_t(&self, x: &[f64]) -> Vec<f64> {
-        let (top, bottom) = x.split_at(self.inner.nrows());
-        let mut y = self.inner.apply_t(top);
-        for (yi, bi) in y.iter_mut().zip(bottom) {
-            *yi += self.damp * bi;
-        }
-        y
-    }
     fn apply_into(&self, x: &[f64], y: &mut [f64]) {
         let (top, bottom) = y.split_at_mut(self.inner.nrows());
         self.inner.apply_into(x, top);
@@ -1630,11 +1617,11 @@ mod tests {
         fn ncols(&self) -> usize {
             self.n
         }
-        fn apply(&self, _x: &[f64]) -> Vec<f64> {
-            vec![f64::NAN; self.m]
+        fn apply_into(&self, _x: &[f64], y: &mut [f64]) {
+            y.fill(f64::NAN);
         }
-        fn apply_t(&self, x: &[f64]) -> Vec<f64> {
-            vec![x.iter().sum(); self.n]
+        fn apply_t_into(&self, x: &[f64], y: &mut [f64]) {
+            y.fill(x.iter().sum());
         }
     }
 

@@ -15,21 +15,26 @@ pub trait LinearOperator {
     fn nrows(&self) -> usize;
     /// Number of columns `n` (features).
     fn ncols(&self) -> usize;
-    /// `y = A·x` with `x.len() == ncols()`.
-    fn apply(&self, x: &[f64]) -> Vec<f64>;
-    /// `y = Aᵀ·x` with `x.len() == nrows()`.
-    fn apply_t(&self, x: &[f64]) -> Vec<f64>;
-    /// `y = A·x` into a caller-provided buffer (`y.len() == nrows()`).
-    ///
-    /// The default delegates to [`LinearOperator::apply`]; concrete
-    /// operators override it to skip the per-call allocation — this is
-    /// what the LSQR/CGLS inner loops call once per iteration.
-    fn apply_into(&self, x: &[f64], y: &mut [f64]) {
-        y.copy_from_slice(&self.apply(x));
+    /// `y = A·x` into a caller-provided buffer (`x.len() == ncols()`,
+    /// `y.len() == nrows()`) — what the LSQR/CGLS inner loops call once
+    /// per iteration. Every entry of `y` is overwritten.
+    fn apply_into(&self, x: &[f64], y: &mut [f64]);
+    /// `y = Aᵀ·x` into a caller-provided buffer (`x.len() == nrows()`,
+    /// `y.len() == ncols()`).
+    fn apply_t_into(&self, x: &[f64], y: &mut [f64]);
+    /// `y = A·x` into a fresh vector: [`LinearOperator::apply_into`] on a
+    /// zeroed buffer.
+    fn apply(&self, x: &[f64]) -> Vec<f64> {
+        let mut y = vec![0.0; self.nrows()];
+        self.apply_into(x, &mut y);
+        y
     }
-    /// `y = Aᵀ·x` into a caller-provided buffer (`y.len() == ncols()`).
-    fn apply_t_into(&self, x: &[f64], y: &mut [f64]) {
-        y.copy_from_slice(&self.apply_t(x));
+    /// `y = Aᵀ·x` into a fresh vector: [`LinearOperator::apply_t_into`] on
+    /// a zeroed buffer.
+    fn apply_t(&self, x: &[f64]) -> Vec<f64> {
+        let mut y = vec![0.0; self.ncols()];
+        self.apply_t_into(x, &mut y);
+        y
     }
     /// `Y = A·X` for a row-major `ncols() × p` block `X`, into the
     /// row-major `nrows() × p` block `Y`.
@@ -93,12 +98,6 @@ impl LinearOperator for Mat {
     fn ncols(&self) -> usize {
         Mat::ncols(self)
     }
-    fn apply(&self, x: &[f64]) -> Vec<f64> {
-        srda_linalg::ops::matvec(self, x).expect("operator shape invariant")
-    }
-    fn apply_t(&self, x: &[f64]) -> Vec<f64> {
-        srda_linalg::ops::matvec_t(self, x).expect("operator shape invariant")
-    }
     fn apply_into(&self, x: &[f64], y: &mut [f64]) {
         srda_linalg::ops::matvec_into_exec(self, x, y, &Executor::serial())
             .expect("operator shape invariant");
@@ -116,12 +115,6 @@ impl LinearOperator for CsrMatrix {
     fn ncols(&self) -> usize {
         CsrMatrix::ncols(self)
     }
-    fn apply(&self, x: &[f64]) -> Vec<f64> {
-        self.matvec(x).expect("operator shape invariant")
-    }
-    fn apply_t(&self, x: &[f64]) -> Vec<f64> {
-        self.matvec_t(x).expect("operator shape invariant")
-    }
     fn apply_into(&self, x: &[f64], y: &mut [f64]) {
         self.matvec_into_exec(x, y, &Executor::serial())
             .expect("operator shape invariant");
@@ -134,7 +127,7 @@ impl LinearOperator for CsrMatrix {
 
 /// A dense matrix routed through a specific [`Executor`]: identical
 /// numerics to the `Mat` operator impl on every backend, with the products
-/// row-parallel under [`srda_linalg::Backend::Threaded`].
+/// row-parallel on a threaded executor.
 pub struct ExecDense<'a> {
     mat: &'a Mat,
     exec: Executor,
@@ -153,12 +146,6 @@ impl LinearOperator for ExecDense<'_> {
     }
     fn ncols(&self) -> usize {
         self.mat.ncols()
-    }
-    fn apply(&self, x: &[f64]) -> Vec<f64> {
-        srda_linalg::ops::matvec_exec(self.mat, x, &self.exec).expect("operator shape invariant")
-    }
-    fn apply_t(&self, x: &[f64]) -> Vec<f64> {
-        srda_linalg::ops::matvec_t_exec(self.mat, x, &self.exec).expect("operator shape invariant")
     }
     fn apply_into(&self, x: &[f64], y: &mut [f64]) {
         srda_linalg::ops::matvec_into_exec(self.mat, x, y, &self.exec)
@@ -190,16 +177,6 @@ impl LinearOperator for ExecCsr<'_> {
     fn ncols(&self) -> usize {
         self.csr.ncols()
     }
-    fn apply(&self, x: &[f64]) -> Vec<f64> {
-        self.csr
-            .matvec_exec(x, &self.exec)
-            .expect("operator shape invariant")
-    }
-    fn apply_t(&self, x: &[f64]) -> Vec<f64> {
-        self.csr
-            .matvec_t_exec(x, &self.exec)
-            .expect("operator shape invariant")
-    }
     fn apply_into(&self, x: &[f64], y: &mut [f64]) {
         self.csr
             .matvec_into_exec(x, y, &self.exec)
@@ -218,25 +195,17 @@ impl LinearOperator for ExecCsr<'_> {
 /// resident.
 ///
 /// An operator has no error channel, so a mid-solve disk failure is
-/// signalled by returning an all-NaN product. [`crate::lsqr`] rejects
-/// non-finite operator output and stops with
-/// [`crate::StopReason::Diverged`], which the fit layer converts into a
-/// proper error — the failure surfaces to the caller instead of aborting
-/// the process or leaking NaN into a model.
+/// signalled by returning an all-NaN product.
+/// [`crate::lsqr`](mod@crate::lsqr) rejects non-finite operator output
+/// and stops with [`crate::StopReason::Diverged`], which the fit layer
+/// converts into a proper error — the failure surfaces to the caller
+/// instead of aborting the process or leaking NaN into a model.
 impl LinearOperator for srda_sparse::DiskCsr {
     fn nrows(&self) -> usize {
         srda_sparse::DiskCsr::nrows(self)
     }
     fn ncols(&self) -> usize {
         srda_sparse::DiskCsr::ncols(self)
-    }
-    fn apply(&self, x: &[f64]) -> Vec<f64> {
-        self.matvec(x)
-            .unwrap_or_else(|_| vec![f64::NAN; srda_sparse::DiskCsr::nrows(self)])
-    }
-    fn apply_t(&self, x: &[f64]) -> Vec<f64> {
-        self.matvec_t(x)
-            .unwrap_or_else(|_| vec![f64::NAN; srda_sparse::DiskCsr::ncols(self)])
     }
     fn apply_into(&self, x: &[f64], y: &mut [f64]) {
         self.apply_block_into(x, 1, y);
@@ -281,24 +250,6 @@ impl<A: LinearOperator + ?Sized> LinearOperator for AugmentedOp<'_, A> {
     }
     fn ncols(&self) -> usize {
         self.inner.ncols() + 1
-    }
-    fn apply(&self, x: &[f64]) -> Vec<f64> {
-        debug_assert_eq!(x.len(), self.ncols());
-        let (head, bias) = x.split_at(x.len() - 1);
-        let mut y = self.inner.apply(head);
-        let b = bias[0];
-        if b != 0.0 {
-            for yi in &mut y {
-                *yi += b;
-            }
-        }
-        y
-    }
-    fn apply_t(&self, x: &[f64]) -> Vec<f64> {
-        debug_assert_eq!(x.len(), self.nrows());
-        let mut y = self.inner.apply_t(x);
-        y.push(x.iter().sum());
-        y
     }
     fn apply_into(&self, x: &[f64], y: &mut [f64]) {
         debug_assert_eq!(x.len(), self.ncols());
@@ -382,20 +333,6 @@ impl<A: LinearOperator + ?Sized> LinearOperator for CenteredOp<'_, A> {
     }
     fn ncols(&self) -> usize {
         self.inner.ncols()
-    }
-    fn apply(&self, x: &[f64]) -> Vec<f64> {
-        let mut y = self.inner.apply(x);
-        let shift = srda_linalg::vector::dot(&self.mu, x);
-        for yi in &mut y {
-            *yi -= shift;
-        }
-        y
-    }
-    fn apply_t(&self, x: &[f64]) -> Vec<f64> {
-        let mut y = self.inner.apply_t(x);
-        let s: f64 = x.iter().sum();
-        srda_linalg::vector::axpy(-s, &self.mu, &mut y);
-        y
     }
     fn apply_into(&self, x: &[f64], y: &mut [f64]) {
         self.inner.apply_into(x, y);

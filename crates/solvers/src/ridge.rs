@@ -43,7 +43,6 @@ use crate::certificate::{certify_spd_solves, SolveCertificate};
 use crate::governor::{Interrupt, RunGovernor};
 use srda_linalg::ops::{
     gram, gram_augmented_exec, gram_t, gram_t_exec, matmul_transa, matmul_transa_augmented_exec,
-    matmul_transa_exec,
 };
 use srda_linalg::{Cholesky, Executor, LinalgError, Mat, Result};
 use srda_sparse::{CsrMatrix, GramBudgetExceeded};
@@ -130,8 +129,9 @@ impl RidgeSolver {
 enum BackProjection<'a> {
     /// Primal form: the solution is `W̃`.
     None,
-    /// Dense dual form: `W̃ = X̃ᵀU` through the materialized `X̃`.
-    Dense(Mat),
+    /// Dense dual form: `W̃ = X̃ᵀU`, read from `X` with the bias lane
+    /// added by the kernel.
+    Dense(&'a Mat),
     /// Sparse dual form: `W̃ = X̃ᵀU` as `XᵀU` by sparse transpose products
     /// plus the column sums of `U` for the bias row.
     Sparse(&'a CsrMatrix),
@@ -167,13 +167,14 @@ pub struct DirectSolve {
     pub cond: f64,
 }
 
-impl RidgeSystem<'static> {
+impl<'a> RidgeSystem<'a> {
     /// Build the smaller normal-equation form of `X̃ = [X | 1]`, as
-    /// [`RidgeSolver::auto`] picks it: the primal Gram `X̃ᵀX̃` and `X̃ᵀȲ`
-    /// when `n + 1 ≤ m`, read straight from `X` with the bias lane added
-    /// by the kernels, else the dual Gram `X̃X̃ᵀ` of a materialized `X̃`,
-    /// kept for the back-projection.
-    pub fn dense(x: &Mat, ybar: &Mat, exec: Executor) -> Result<Self> {
+    /// [`RidgeSolver::auto`] picks it, reading `X` in place: the primal
+    /// Gram `X̃ᵀX̃` and `X̃ᵀȲ` when `n + 1 ≤ m`, with the bias lane added by
+    /// the kernels, else the dual Gram `X̃X̃ᵀ = XXᵀ + 1`. Each entry of
+    /// `XXᵀ` is one ascending dot product, so adding 1 afterwards is
+    /// bitwise the last step of the dot over `X̃`.
+    pub fn dense(x: &'a Mat, ybar: &Mat, exec: Executor) -> Result<Self> {
         if x.ncols() < x.nrows() {
             let rhs = matmul_transa_augmented_exec(x, ybar, &exec)?;
             Ok(Self::new(
@@ -183,14 +184,16 @@ impl RidgeSystem<'static> {
                 exec,
             ))
         } else {
-            let xa = x.append_constant_col(1.0);
-            let g = gram_t_exec(&xa, &exec);
-            Ok(Self::new(g, ybar.clone(), BackProjection::Dense(xa), exec))
+            let mut g = gram_t_exec(x, &exec);
+            g.as_mut_slice().iter_mut().for_each(|v| *v += 1.0);
+            // count `X̃X̃ᵀ`'s flam, as `gram_t_exec` of `X̃` does: the bias
+            // lane adds one per upper-triangle entry
+            let m = x.nrows();
+            srda_linalg::flam::add((m * (m + 1) / 2) as u64);
+            Ok(Self::new(g, ybar.clone(), BackProjection::Dense(x), exec))
         }
     }
-}
 
-impl<'a> RidgeSystem<'a> {
     /// Build the dual Gram `X̃X̃ᵀ = XXᵀ + 1` from sparse row intersections,
     /// never densifying `X`. A Gram matrix larger than `budget_bytes` is
     /// declined, and the caller solves matrix-free instead.
@@ -265,7 +268,7 @@ impl<'a> RidgeSystem<'a> {
         let _span = srda_obs::span!(rec, "fit/backsub");
         let weights = match &self.back {
             BackProjection::None => sol,
-            BackProjection::Dense(xa) => matmul_transa_exec(xa, &sol, &self.exec)?,
+            BackProjection::Dense(x) => matmul_transa_augmented_exec(x, &sol, &self.exec)?,
             BackProjection::Sparse(x) => {
                 let n = x.ncols();
                 let mut w = Mat::zeros(n + 1, sol.ncols());

@@ -1,7 +1,7 @@
 //! Out-of-core CSR storage — the paper's closing §III.C.2 claim made
 //! concrete:
 //!
-//! > "Even [if] the data matrix is too large to be fit into the memory,
+//! > "Even \[if\] the data matrix is too large to be fit into the memory,
 //! > SRDA can still be applied with some reasonable disk I/O. This is
 //! > because in each iteration of LSQR, we only need to calculate two
 //! > matrix-vector products in the form of Xu and Xᵀv, which can be easily

@@ -23,6 +23,11 @@ echo "$loc" | sed -n 1,5p
 echo "==> cargo clippy (warnings are errors)"
 cargo clippy --offline --locked --workspace --all-targets -- -D warnings
 
+# Rustdoc warnings are errors too, so a deletion cannot leave a dangling
+# intra-doc link behind.
+echo "==> cargo doc (rustdoc warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --locked --workspace --no-deps
+
 # Every test must pass under the serial backend AND a thread-
 # oversubscribed one: results are required to be bitwise identical, so
 # nothing may rely on the default ExecPolicy resolving to serial.
