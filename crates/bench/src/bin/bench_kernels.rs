@@ -7,7 +7,10 @@
 //! determinism check: the threaded backend must be bitwise-identical to
 //! serial. `cholesky_solve_mat` has no threaded variant; its row times
 //! the per-column solves as `naive` and checks the whole-panel solve
-//! bitwise against them. The `disk_matmul` / `disk_matmul_t` rows time a
+//! bitwise against them. `certify_spd` times the compensated backward
+//! errors of PIE's 67 responses as `naive` against the screen's
+//! rounding-error bounds, and also checks that every bound is at least the
+//! compensated value. The `disk_matmul` / `disk_matmul_t` rows time a
 //! `p = 5` block product through `DiskCsr` on a 20NG-shaped SRDACSR file
 //! against the historical per-entry scan (`naive`), report ns per stored
 //! non-zero, and check the block product bitwise against `p` per-column
@@ -22,7 +25,7 @@
 
 use srda::Recorder;
 use srda_linalg::ops::{gram_exec, matmul_exec};
-use srda_linalg::{flam, Cholesky, ExecPolicy, Executor, Mat};
+use srda_linalg::{flam, refine, Cholesky, ExecPolicy, Executor, Mat};
 use srda_sparse::{disk, CsrMatrix, DiskCsr};
 use std::fs::File;
 use std::io::{BufReader, Read, Seek, SeekFrom};
@@ -372,6 +375,34 @@ fn main() {
             threaded: t_serial,
             identical: bits(&x0) == bits(&x1),
             flam: flam::measure(|| chol.solve_mat(&b)).1,
+            nnz: None,
+        });
+    }
+
+    // certification of the c − 1 responses on PIE's primal system: the
+    // compensated residuals (`naive`) against the screen's plain product
+    // and rounding bound. The screen must be bitwise serial ≡ threaded and
+    // bound every compensated backward error from above.
+    {
+        let (n, k) = (sc(1025), sc(67));
+        let a = dense(n + 200, n, 14);
+        let mut g = gram_exec(&a, &serial);
+        g.add_to_diag(1.0);
+        let b = dense(n, k, 15);
+        let x = Cholesky::factor(&g).unwrap().solve_mat(&b).unwrap();
+        let (t_naive, etas) = time_best(reps, || refine::backward_errors(&g, &b, &x).unwrap());
+        let screen = |exec: &Executor| refine::backward_error_bounds(&g, &b, &x, exec).unwrap();
+        let (t_serial, e1) = time_best(reps, || screen(&serial));
+        let (t_par, e2) = time_best(reps, || screen(&par));
+        let bits = |v: &[f64]| v.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
+        rows.push(Row {
+            kernel: "certify_spd",
+            shape: format!("{n} k={k}"),
+            naive: t_naive,
+            serial: t_serial,
+            threaded: t_par,
+            identical: bits(&e1) == bits(&e2) && e1.iter().zip(&etas).all(|(u, e)| u >= e),
+            flam: flam::measure(|| screen(&serial)).1,
             nnz: None,
         });
     }

@@ -23,9 +23,11 @@
 //! * [`cholesky`] — SPD factorization used to solve SRDA's regularized
 //!   normal equations (Eqn 18/20 of the paper), with a Hager 1-norm
 //!   condition estimator for solution certification.
-//! * [`refine`] — fixed-precision iterative refinement (compensated
-//!   residuals + correction solves against the existing factor), the
-//!   backward-error repair step of the certified-solve pipeline.
+//! * [`refine`] — backward errors of computed solutions (a proven upper
+//!   bound from one plain residual product, or a compensated estimate) and
+//!   fixed-precision iterative refinement (compensated residuals +
+//!   correction solves against the existing factor), the measuring and
+//!   repair steps of the certified-solve pipeline.
 //! * [`gram_schmidt`] — modified Gram-Schmidt with reorthogonalization,
 //!   used verbatim by SRDA's response-generation step (§III.B step 1).
 //! * [`flam`] — global operation counters measuring *flam* (one addition

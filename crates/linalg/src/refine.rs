@@ -1,4 +1,5 @@
-//! Fixed-precision iterative refinement for Cholesky solves.
+//! Backward errors of computed solutions, and fixed-precision iterative
+//! refinement for Cholesky solves.
 //!
 //! The classic Wilkinson/Higham loop: given a factorization of `A` and a
 //! computed solution `x₀` of `A·x = b`, repeat
@@ -19,20 +20,29 @@
 //! a worryingly conditioned matrix (Higham, *Accuracy and Stability of
 //! Numerical Algorithms*, ch. 12).
 //!
-//! The residual is accumulated with an Ogita–Rump compensated dot (exact
-//! product errors + Neumaier summation), giving close to
-//! twice-working-precision residuals without any extended type. Residuals
-//! of many right-hand sides share one pass over `A`
-//! ([`backward_errors`]); each product error comes from Dekker's
+//! Refinement needs an accurate residual, so the residual is accumulated
+//! with an Ogita–Rump compensated dot (exact product errors + Neumaier
+//! summation), giving close to twice-working-precision residuals without
+//! any extended type. Residuals of many right-hand sides share one pass
+//! over `A` ([`backward_errors`]); each product error comes from Dekker's
 //! two-product over Veltkamp splits, which is exact — and so bitwise equal
 //! to the `mul_add` form — when every factor is zero or within
 //! `1e-144..=1e144` in magnitude. Inputs outside that range, or non-finite
 //! ones, take the `mul_add` form.
+//!
+//! *Accepting* a solution needs only an upper bound on `η`, not its
+//! accurate value: [`backward_error_bounds`] takes one plain product
+//! `A·X` on an [`Executor`] and adds a rigorous allowance for its rounding
+//! (the `xPORFS` approach; Higham §7.1), with a fraction of the
+//! compensated residual's arithmetic: two flops per term instead of more
+//! than a dozen.
 
 use crate::cholesky::Cholesky;
 use crate::error::LinalgError;
 use crate::matrix::Mat;
+use crate::ops::matmul_exec;
 use crate::{flam, Result};
+use srda_kernels::Executor;
 
 /// Outcome of [`refine_solve`]: how many correction steps ran and the best
 /// backward error achieved.
@@ -96,6 +106,106 @@ pub fn backward_errors(a: &Mat, b: &Mat, x: &Mat) -> Result<Vec<f64>> {
         .map(|j| eta(a_inf, r_inf[j], col(x.as_slice(), j), col(b.as_slice(), j)))
         .collect())
 }
+
+/// A rigorous upper bound `η̄ ≥ η` on [`backward_error`] of every column
+/// of `x`, from one plain product `A·X` on `exec` instead of compensated
+/// residuals. A column gets `+∞` where no finite bound is proven: a NaN or
+/// infinite entry, an overflow, a `0/0` (`x = 0`, `b = 0`) or a
+/// denominator below `2⁻⁹⁷⁰`. `A·X` sums every entry in one fixed order
+/// whatever the executor's thread count, so the bounds are bitwise serial
+/// ≡ threaded; one call counts `n²·k` flam, as [`backward_errors`] does.
+///
+/// With `u = 2⁻⁵³`, `γₖ = ku/(1 − ku)`, computed `Ĝ = fl‖A‖∞` (row sums in
+/// order, then their max), exact `X = ‖x‖∞`, `B = ‖b‖∞`, the residual
+/// `r̂ = fl(b − fl(A·x))` with `R̂ = ‖r̂‖∞`, and `d = fl(fl(Ĝ·X) + B)`,
+///
+/// ```text
+///   η̄ = fl( fl(R̂ + fl(γ̄·d)) / d ),   γ̄ = 2(n + 8)·u.
+/// ```
+///
+/// **Proof that `η̄ ≥ η`**, for `d ≥ 2⁻⁹⁷⁰`, `η̄` finite and
+/// `1 ≤ n ≤ 2²⁶` (an `n × n` matrix past that has 2⁵² entries, more than
+/// any memory holds). Let `τ = 2⁻¹⁰⁷⁵` bound the absolute error of one
+/// underflowing product; sums and differences carry no underflow error
+/// (they are exact in the subnormal range), and a finite `R̂`, `Ĝ` and `d`
+/// mean nothing overflowed, because an infinity never turns finite again.
+///
+/// 1. *Norm.* A sum of `n` non-negative terms is computed to within a
+///    factor `1 ± γₙ₋₁`, so `‖A‖∞ ≥ Ĝ/(1 + γₙ₋₁)`.
+/// 2. *Product.* Entry `i` of `fl(A·x)` is `+0` plus at most `n` rounded
+///    products in order, so `|fl(A·x)ᵢ − (A·x)ᵢ| ≤ γₙ·Σⱼ|aᵢⱼ||xⱼ| + 2nτ
+///    ≤ γₙ‖A‖∞X + 2nτ` (Higham, Lemma 3.1 and §3.1; skipped zero entries
+///    are exact products).
+/// 3. *Residual.* `r̂ᵢ = (bᵢ − fl(A·x)ᵢ)(1 + δ)` with `|δ| ≤ u`, so
+///    `‖b − A·x‖∞ ≤ R̂/(1 − u) + γₙ‖A‖∞X + 2nτ`.
+/// 4. *Denominator.* `d ≤ (ĜX + B)(1 + u)² + 2τ` and `2τ ≤ 4u²·d`, so by 1
+///    the true `D = ‖A‖∞X + B ≥ d/F` with
+///    `F = (1 + u)²(1 + γₙ₋₁)/(1 − 4u²)`. Since `γₙ‖A‖∞X ≤ γₙD` and
+///    `2nτ/d ≤ 4nu²`, with `ρ = R̂/d`:
+///    `η ≤ ρF/(1 − u) + 4nu²F + γₙ`.
+/// 5. *Evaluation.* `γ̄` is exact (an integer times a power of two) and
+///    `γ̄·d ≥ 2⁻¹⁰¹⁹` does not underflow, so each of the three roundings
+///    loses at most a factor `1 − u`: `η̄ ≥ ρ(1 − u)² + γ̄(1 − u)³`.
+/// 6. *Both regimes.* `|b − A·x| ≤ |b| + |A||x|` gives `η ≤ 1`, so if
+///    `ρ(1 − u)² ≥ 1` then `η̄ ≥ 1 ≥ η`. Otherwise `ρ < (1 − u)⁻²`, and
+///    `η̄ − η ≥ γ̄(1 − u)³ − (F/(1 − u)³ − 1) − 4nu²F − γₙ`. For
+///    `n ≤ 2²⁶` every `γₖ` here is at most `ku(1 + 2⁻²⁶)`, so
+///    `F/(1 − u)³ − 1 ≤ (n + 4)u(1 + 2⁻²⁴)` and the subtracted terms sum
+///    to at most `(2n + 14)u`, while `γ̄(1 − u)³ ≥ (2n + 15)u`. ∎
+///
+/// `γ̄` is about twice the product's `γₙ`: the second half covers the
+/// relative roundings of the norm, the denominator and the final
+/// division, which step 6 charges at the largest `ρ` they can meet. Where
+/// `η` matters (`ρ ≪ 1`) those are negligible, and `η̄ ≈ ρ + γ̄` exceeds
+/// the compensated `η` by about `2nu`.
+pub fn backward_error_bounds(a: &Mat, b: &Mat, x: &Mat, exec: &Executor) -> Result<Vec<f64>> {
+    let n = a.nrows();
+    if !a.is_square() || b.shape() != x.shape() || b.nrows() != n {
+        return Err(LinalgError::ShapeMismatch {
+            op: "backward_error_bounds",
+            lhs: a.shape(),
+            rhs: b.shape(),
+        });
+    }
+    let k = b.ncols();
+    if k == 0 {
+        return Ok(Vec::new());
+    }
+    let ax = matmul_exec(a, x, exec)?;
+    let mut r_inf = vec![0.0f64; k];
+    let rows = b
+        .as_slice()
+        .chunks_exact(k)
+        .zip(ax.as_slice().chunks_exact(k));
+    for (b_row, ax_row) in rows {
+        for ((m, bi), yi) in r_inf.iter_mut().zip(b_row).zip(ax_row) {
+            *m = max_nan(*m, (bi - yi).abs());
+        }
+    }
+    let a_inf = a_inf_norm(a);
+    // 2(n + 8)·2⁻⁵³, exactly
+    let gamma = (n + 8) as f64 * f64::EPSILON;
+    let col = |v: &[f64], j: usize| inf_norm(v.iter().skip(j).step_by(k));
+    Ok((0..k)
+        .map(|j| {
+            let d = a_inf * col(x.as_slice(), j) + col(b.as_slice(), j);
+            if d < MIN_BOUND_SCALE {
+                return f64::INFINITY;
+            }
+            // a NaN `d` makes a NaN bound, rejected here
+            let bound = (r_inf[j] + gamma * d) / d;
+            if bound.is_finite() {
+                bound
+            } else {
+                f64::INFINITY
+            }
+        })
+        .collect())
+}
+
+/// Smallest denominator [`backward_error_bounds`] bounds over: `2⁻⁹⁷⁰`,
+/// which keeps `γ̄·d` normal and the products' underflow below `4u²·d`.
+const MIN_BOUND_SCALE: f64 = f64::MIN_POSITIVE / f64::EPSILON;
 
 /// Refine a computed solution of `A·x = b` in place against an existing
 /// Cholesky factor of `A` (or of a nearby matrix — refinement against a
@@ -533,6 +643,89 @@ mod tests {
         assert_eq!(bits(&etas), bits(&expect));
         assert_eq!(flam, flam_expect);
         assert!(backward_errors(&a, &b, &Mat::zeros(n, 3)).is_err());
+    }
+
+    #[test]
+    fn bounds_never_fall_below_the_compensated_backward_error() {
+        let (ser, par) = (Executor::serial(), Executor::threaded(3));
+        let bits = |v: &[f64]| v.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
+        // finite bounds seen below and above η = 1e-8
+        let (mut small, mut large) = (0, 0);
+        for seed in 0..40u64 {
+            let mut v = wide_values(seed + 1, 470);
+            let n = 1 + (seed as usize * 7) % 70;
+            let k = 1 + (seed as usize * 5) % 9;
+            let mut a = Mat::from_fn(n, n, |_, _| v());
+            let mut b = Mat::from_fn(n, k, |_, _| v());
+            // near-solutions, so the small-η regime is exercised too
+            let mut x = Mat::from_fn(n, k, |_, _| v());
+            if seed % 2 == 0 {
+                a = Mat::from_fn(n, n, |i, j| {
+                    if i == j {
+                        4.0
+                    } else {
+                        0.5 / (1 + i + j) as f64
+                    }
+                });
+                x = Mat::from_fn(n, k, |i, j| 2f64.powi(((i * 3 + j) % 40) as i32 - 20));
+                b = crate::ops::matmul(&a, &x).unwrap();
+                x[(0, 0)] *= 1.0 + 1e-9;
+            }
+            // one edge case per column, cycling with the seed
+            for j in 0..k {
+                let i = (seed as usize + j) % n;
+                match (seed as usize + j) % 9 {
+                    0 => x[(i, j)] = 4e-320,
+                    1 => a[(i, (i + 1) % n)] = 1e300,
+                    2 => (0..n).for_each(|r| b[(r, j)] = 0.0),
+                    3 => x[(i, j)] = f64::NAN,
+                    4 => x[(i, j)] = f64::INFINITY,
+                    5 => b[(i, j)] = f64::NEG_INFINITY,
+                    6 => (0..n).for_each(|r| (b[(r, j)], x[(r, j)]) = (0.0, 0.0)),
+                    7 => x[(i, j)] *= 1e-310,
+                    _ => {}
+                }
+            }
+            let etas = backward_errors(&a, &b, &x).unwrap();
+            let (bounds, flam_b) =
+                flam::measure(|| backward_error_bounds(&a, &b, &x, &ser).unwrap());
+            let (_, flam_e) = flam::measure(|| backward_errors(&a, &b, &x).unwrap());
+            assert_eq!(flam_b, flam_e);
+            let threaded = backward_error_bounds(&a, &b, &x, &par).unwrap();
+            assert_eq!(bits(&bounds), bits(&threaded), "seed {seed}");
+            for j in 0..k {
+                let (eta, bound) = (etas[j], bounds[j]);
+                assert!(bound >= eta, "seed {seed} col {j}: η̄ {bound:e} < η {eta:e}");
+                assert!(!bound.is_nan(), "seed {seed} col {j}");
+                if bound.is_finite() {
+                    *if eta < 1e-8 { &mut small } else { &mut large } += 1;
+                }
+                if (0..n).any(|i| x[(i, j)].is_nan()) {
+                    assert_eq!(bound, f64::INFINITY, "seed {seed} col {j}: NaN solution");
+                }
+            }
+        }
+        assert!(small >= 20 && large >= 20, "{small} small, {large} large");
+    }
+
+    #[test]
+    fn bounds_are_tight_on_accurate_solutions() {
+        let n = 40;
+        let a = Mat::from_fn(n, n, |i, j| {
+            if i == j {
+                4.0
+            } else {
+                0.5 / (1 + i + j) as f64
+            }
+        });
+        let b = Mat::from_fn(n, 3, |i, j| ((i * 3 + j) as f64 * 0.37).sin());
+        let x = Cholesky::factor(&a).unwrap().solve_mat(&b).unwrap();
+        let etas = backward_errors(&a, &b, &x).unwrap();
+        let bounds = backward_error_bounds(&a, &b, &x, &Executor::serial()).unwrap();
+        for (eta, bound) in etas.iter().zip(&bounds) {
+            assert!(*bound >= *eta && *bound <= 4.0 * (n + 8) as f64 * f64::EPSILON);
+        }
+        assert!(backward_error_bounds(&a, &b, &Mat::zeros(n, 2), &Executor::serial()).is_err());
     }
 
     #[test]

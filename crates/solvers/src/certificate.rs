@@ -13,9 +13,13 @@
 //!
 //! * **Direct path** — η is the normwise Rigal–Gaches backward error of the
 //!   factored system, κ is the Hager 1-norm estimate captured by
-//!   [`srda_linalg::Cholesky`]. If the bound fails, fixed-precision
-//!   iterative refinement ([`srda_linalg::refine`]) is attempted against
-//!   the existing factor before declaring the solution [`Suspect`].
+//!   [`srda_linalg::Cholesky`]. A plain residual product plus a rigorous
+//!   rounding allowance bounds η from above for every response at once;
+//!   a response whose bound already certifies is accepted with it. The
+//!   rest get compensated residuals, and where their η still fails,
+//!   fixed-precision iterative refinement ([`srda_linalg::refine`]) is
+//!   attempted against the existing factor before declaring the solution
+//!   [`Suspect`].
 //! * **Matrix-free path** — the certificate is computed *post hoc* from the
 //!   final iterate with three operator applies: the relative
 //!   normal-equation residual `‖Aᵀ(b − A·x) − δ²·x‖ / ‖Aᵀb‖` (the same
@@ -27,7 +31,7 @@
 //! [`Suspect`]: CertStatus::Suspect
 
 use crate::operator::LinearOperator;
-use srda_linalg::{refine, vector, Cholesky, Mat, Result};
+use srda_linalg::{refine, vector, Cholesky, Executor, Mat, Result};
 
 /// Forward-error-bound acceptance threshold for direct solves: a solution
 /// is certified when `cond_estimate × backward_error ≤ CERTIFY_BOUND`,
@@ -108,15 +112,8 @@ pub fn worst_backward_error(certs: &[SolveCertificate]) -> Option<f64> {
 }
 
 /// Certify (and, when the bound fails, refine in place) one solution of
-/// the SPD system `G·x = b` against its existing Cholesky factor.
-///
-/// `g` must be the full symmetric matrix that was factored (with any
-/// diagonal shift already applied — certificates always describe the
-/// system that was actually solved). `cond_estimate` is computed once per
-/// factorization by the caller ([`Cholesky::condition_estimate`] costs a
-/// handful of O(n²) solves) and shared across the `c − 1` response
-/// certificates. When the initial forward-error bound is within
-/// [`CERTIFY_BOUND`], `x` is left bitwise untouched.
+/// the SPD system `G·x = b` against its existing Cholesky factor: the
+/// one-column call of [`certify_spd_solves`], on the serial executor.
 pub fn certify_spd_solve(
     chol: &Cholesky,
     g: &Mat,
@@ -125,23 +122,46 @@ pub fn certify_spd_solve(
     x: &mut [f64],
     max_refine_steps: usize,
 ) -> Result<SolveCertificate> {
-    let eta = refine::backward_error(g, b, x);
-    if let Some(cert) = certified_as_is(eta, cond_estimate) {
-        return Ok(cert);
-    }
-    let rep = refine::refine_solve(chol, g, b, x, max_refine_steps)?;
-    Ok(after_refinement(rep, cond_estimate))
+    let b = Mat::from_vec(b.len(), 1, b.to_vec())?;
+    let mut xm = Mat::from_vec(x.len(), 1, x.to_vec())?;
+    let exec = Executor::serial();
+    let mut cert =
+        certify_spd_solves(chol, g, cond_estimate, &b, &mut xm, max_refine_steps, &exec)?;
+    x.copy_from_slice(xm.as_slice());
+    Ok(cert.pop().expect("one certificate per column"))
 }
 
-/// [`certify_spd_solve`] for every column of `x` (`n × k`, refined in
-/// place) against the matching column of `b`: SRDA's `c − 1` responses
-/// certified as one multi-right-hand-side system.
+/// Certify every column of `x` (`n × k`, refined in place) as a solution
+/// of the SPD system `G·x = b` for the matching column of `b`: SRDA's
+/// `c − 1` responses certified as one multi-right-hand-side system.
 ///
-/// The backward errors of all columns come from one pass over `g`
-/// ([`refine::backward_errors`]); only columns that fail the bound are
-/// refined, one at a time, exactly as [`certify_spd_solve`] would. The
-/// certificates, the refined columns and the flam counted are bitwise
-/// those of calling [`certify_spd_solve`] on each column in turn.
+/// `g` must be the full matrix that was factored (with any diagonal shift
+/// already applied — certificates always describe the system that was
+/// actually solved). `cond_estimate` is computed once per factorization by
+/// the caller ([`Cholesky::condition_estimate`] costs a handful of O(n²)
+/// solves) and shared across the certificates.
+///
+/// Two stages:
+///
+/// 1. **Screen.** One plain product `G·X` on `exec` gives every column a
+///    proven upper bound `η̄ ≥ η` ([`refine::backward_error_bounds`]). A
+///    column with a finite `η̄` and `κ·η̄ ≤` [`CERTIFY_BOUND`] is
+///    [`Certified`](CertStatus::Certified) as is, and its certificate
+///    carries `η̄`.
+/// 2. **Compensated path.** The other columns (non-finite entries, `η = 0`,
+///    or a bound too loose for their `κ`) get compensated backward errors
+///    in one pass over `g` ([`refine::backward_errors`]); a column whose `η`
+///    meets the bound is certified with it, and the rest are refined one
+///    at a time against `chol`.
+///
+/// The screen certifies a column only where `κ·η ≤ κ·η̄` already meets the
+/// bound, so the verdicts, refinement steps and refined columns are those
+/// of running stage 2 on every column; only a screened certificate's
+/// `backward_error` differs (the bound instead of the estimate). A column
+/// left as is keeps its bits. Both stages' products sum in a fixed order,
+/// so the certificates do not depend on `exec`'s thread count. When its
+/// recorder is on, the counters `certify.screened` and
+/// `certify.compensated` count the columns each stage decided.
 pub fn certify_spd_solves(
     chol: &Cholesky,
     g: &Mat,
@@ -149,22 +169,55 @@ pub fn certify_spd_solves(
     b: &Mat,
     x: &mut Mat,
     max_refine_steps: usize,
+    exec: &Executor,
 ) -> Result<Vec<SolveCertificate>> {
-    let etas = refine::backward_errors(g, b, x)?;
-    let mut certs = Vec::with_capacity(etas.len());
-    for (j, eta) in etas.into_iter().enumerate() {
-        if let Some(cert) = certified_as_is(eta, cond_estimate) {
-            certs.push(cert);
-            continue;
+    let mut certs: Vec<Option<SolveCertificate>> = refine::backward_error_bounds(g, b, x, exec)?
+        .into_iter()
+        .map(|bound| screened(bound, cond_estimate))
+        .collect();
+    let rest: Vec<usize> = (0..certs.len()).filter(|&j| certs[j].is_none()).collect();
+    let rec = exec.recorder();
+    rec.add("certify.screened", (certs.len() - rest.len()) as u64);
+    rec.add("certify.compensated", rest.len() as u64);
+    if !rest.is_empty() {
+        let etas = refine::backward_errors(g, &b.select_cols(&rest), &x.select_cols(&rest))?;
+        for (&j, eta) in rest.iter().zip(etas) {
+            certs[j] = Some(match certified_as_is(eta, cond_estimate) {
+                Some(cert) => cert,
+                None => refine_column(chol, g, cond_estimate, b, x, j, max_refine_steps)?,
+            });
         }
-        let mut col = x.col(j);
-        let rep = refine::refine_solve(chol, g, &b.col(j), &mut col, max_refine_steps)?;
-        if rep.steps > 0 {
-            x.set_col(j, &col);
-        }
-        certs.push(after_refinement(rep, cond_estimate));
     }
-    Ok(certs)
+    Ok(certs.into_iter().flatten().collect())
+}
+
+/// The certificate of a column whose proven bound `η̄` already meets the
+/// acceptance bound, or `None` if it takes the compensated path.
+fn screened(bound: f64, cond_estimate: f64) -> Option<SolveCertificate> {
+    (bound.is_finite() && cond_estimate * bound <= CERTIFY_BOUND).then_some(SolveCertificate {
+        backward_error: bound,
+        cond_estimate,
+        refinement_steps: 0,
+        certified: CertStatus::Certified,
+    })
+}
+
+/// Refine column `j` of `x` in place and certify the result.
+fn refine_column(
+    chol: &Cholesky,
+    g: &Mat,
+    cond_estimate: f64,
+    b: &Mat,
+    x: &mut Mat,
+    j: usize,
+    max_refine_steps: usize,
+) -> Result<SolveCertificate> {
+    let mut col = x.col(j);
+    let rep = refine::refine_solve(chol, g, &b.col(j), &mut col, max_refine_steps)?;
+    if rep.steps > 0 {
+        x.set_col(j, &col);
+    }
+    Ok(after_refinement(rep, cond_estimate))
 }
 
 /// The certificate of a solution whose first backward error already meets
@@ -285,7 +338,7 @@ pub fn certify_operator_block<Op: LinearOperator + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use srda_linalg::ops::matvec;
+    use srda_linalg::ops::{self, matvec};
 
     fn hilbert(n: usize) -> Mat {
         Mat::from_fn(n, n, |i, j| 1.0 / (i as f64 + j as f64 + 1.0))
@@ -337,91 +390,229 @@ mod tests {
         );
     }
 
-    /// Runs `certify_spd_solves` and the per-column `certify_spd_solve`
-    /// loop it replaces on the same inputs, asserting bitwise-equal
-    /// certificates, refined solutions and flam; returns the verdicts.
-    fn batched_matches_per_column(
+    /// The compensated-only rule every column took before the screen:
+    /// compensated backward errors of all columns, then refinement of
+    /// those that fail. The oracle for [`certify_spd_solves`].
+    fn certify_compensated(
+        chol: &Cholesky,
         g: &Mat,
         cond: f64,
         b: &Mat,
-        x0: &Mat,
+        x: &mut Mat,
         steps: usize,
-    ) -> Vec<CertStatus> {
+    ) -> Vec<SolveCertificate> {
+        let etas = refine::backward_errors(g, b, x).unwrap();
+        (0..etas.len())
+            .map(|j| {
+                certified_as_is(etas[j], cond)
+                    .unwrap_or_else(|| refine_column(chol, g, cond, b, x, j, steps).unwrap())
+            })
+            .collect()
+    }
+
+    fn cert_bits(c: &SolveCertificate) -> (u64, u64, usize, CertStatus) {
+        (
+            c.backward_error.to_bits(),
+            c.cond_estimate.to_bits(),
+            c.refinement_steps,
+            c.certified,
+        )
+    }
+
+    fn mat_bits(m: &Mat) -> Vec<u64> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// What the screen decided on one system.
+    #[derive(Default)]
+    struct Tally {
+        screened: u64,
+        compensated: u64,
+        verdicts: Vec<CertStatus>,
+    }
+
+    /// Certifies `x0` against `g` four ways — [`certify_spd_solves`] on a
+    /// recording serial executor and on four threads, the one-column
+    /// [`certify_spd_solve`] per column, and the compensated-only oracle —
+    /// and asserts that the first three are bitwise equal, and that they
+    /// match the oracle in every verdict, refinement step, condition
+    /// estimate and refined bit. A backward error may differ only on a
+    /// screened column, where it must bound the oracle's from above.
+    fn matches_the_compensated_oracle(g: &Mat, b: &Mat, x0: &Mat, steps: usize) -> Tally {
         let chol = Cholesky::factor(g).unwrap();
-        let mut xb = x0.clone();
-        let (certs, flam_b) = srda_linalg::flam::measure(|| {
-            certify_spd_solves(&chol, g, cond, b, &mut xb, steps).unwrap()
+        let cond = chol.condition_estimate();
+        let rec = srda_obs::Recorder::new_enabled();
+        let serial = Executor::with_recorder(srda_linalg::ExecPolicy::serial(), rec);
+        let mut x = x0.clone();
+        let (certs, flam_s) = srda_linalg::flam::measure(|| {
+            certify_spd_solves(&chol, g, cond, b, &mut x, steps, &serial).unwrap()
         });
+        let mut xt = x0.clone();
+        let threaded =
+            certify_spd_solves(&chol, g, cond, b, &mut xt, steps, &Executor::threaded(4));
         let mut xc = x0.clone();
-        let (expect, flam_c) = srda_linalg::flam::measure(|| {
+        let (per_column, flam_c) = srda_linalg::flam::measure(|| {
             (0..b.ncols())
                 .map(|j| {
                     let mut col = xc.col(j);
                     let cert = certify_spd_solve(&chol, g, cond, &b.col(j), &mut col, steps);
-                    let cert = cert.unwrap();
-                    if cert.refinement_steps > 0 {
-                        xc.set_col(j, &col);
-                    }
-                    cert
+                    xc.set_col(j, &col);
+                    cert.unwrap()
                 })
                 .collect::<Vec<_>>()
         });
-        let cert_bits = |c: &SolveCertificate| {
-            (
-                c.backward_error.to_bits(),
-                c.cond_estimate.to_bits(),
-                c.refinement_steps,
-                c.certified,
-            )
-        };
+        let bits: Vec<_> = certs.iter().map(cert_bits).collect();
         assert_eq!(
-            certs.iter().map(cert_bits).collect::<Vec<_>>(),
-            expect.iter().map(cert_bits).collect::<Vec<_>>()
+            bits,
+            threaded.unwrap().iter().map(cert_bits).collect::<Vec<_>>()
         );
-        let bits = |m: &Mat| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&xb), bits(&xc));
-        assert_eq!(flam_b, flam_c);
-        certs.iter().map(|c| c.certified).collect()
+        assert_eq!(bits, per_column.iter().map(cert_bits).collect::<Vec<_>>());
+        assert_eq!(flam_s, flam_c);
+        assert_eq!(mat_bits(&x), mat_bits(&xt));
+        assert_eq!(mat_bits(&x), mat_bits(&xc));
+
+        let mut xo = x0.clone();
+        let expect = certify_compensated(&chol, g, cond, b, &mut xo, steps);
+        assert_eq!(mat_bits(&x), mat_bits(&xo), "refined columns");
+        let counters = rec.snapshot().counters;
+        let tally = Tally {
+            screened: counters.get("certify.screened").copied().unwrap_or(0),
+            compensated: counters.get("certify.compensated").copied().unwrap_or(0),
+            verdicts: certs.iter().map(|c| c.certified).collect(),
+        };
+        assert_eq!(tally.screened + tally.compensated, b.ncols() as u64);
+        let mut moved = 0;
+        for (j, (c, e)) in certs.iter().zip(&expect).enumerate() {
+            let (cb, eb) = (cert_bits(c), cert_bits(e));
+            assert_eq!((cb.1, cb.2, cb.3), (eb.1, eb.2, eb.3), "column {j}");
+            if cb.0 != eb.0 {
+                moved += 1;
+                assert_eq!(
+                    (c.certified, c.refinement_steps),
+                    (CertStatus::Certified, 0)
+                );
+                assert!(
+                    c.backward_error > e.backward_error,
+                    "column {j}: {c:?} vs {e:?}"
+                );
+            }
+        }
+        assert!(
+            moved <= tally.screened,
+            "{moved} moved, {} screened",
+            tally.screened
+        );
+        tally
+    }
+
+    /// Deterministic noise in [-0.5, 0.5), as in the integration fixtures.
+    fn noise(i: usize, j: usize, a: f64, b: f64) -> f64 {
+        let t = (i as f64 * a + j as f64 * b).sin() * 43758.5453;
+        t - t.floor() - 0.5
+    }
+
+    /// The ridge system of `x` (`m × n`) as a fit factors it: the primal
+    /// Gram `X̃ᵀX̃ + αI` of `X̃ = [X | 1]` with right-hand sides `X̃ᵀȲ` when
+    /// `n + 1 ≤ m`, else the dual `X̃X̃ᵀ + αI` with `Ȳ`. `Ȳ` holds the
+    /// centered indicators of the first `classes − 1` classes.
+    fn ridge_fixture(x: &Mat, y: &[usize], classes: usize, alpha: f64) -> (Mat, Mat) {
+        let m = x.nrows();
+        let ybar = Mat::from_fn(m, classes - 1, |i, c| {
+            let share = y.iter().filter(|&&l| l == c).count() as f64 / m as f64;
+            f64::from(u8::from(y[i] == c)) - share
+        });
+        let xa = x.append_constant_col(1.0);
+        let (mut g, rhs) = if x.ncols() < m {
+            (ops::gram(&xa), ops::matmul_transa(&xa, &ybar).unwrap())
+        } else {
+            (ops::gram_t(&xa), ybar)
+        };
+        g.add_to_diag(alpha);
+        (g, rhs)
+    }
+
+    /// `classes` classes of `per_class` samples in `dim` dimensions, each
+    /// class shifted along its own coordinates (the fit-pin fixture).
+    fn blobs(classes: usize, per_class: usize, dim: usize) -> (Mat, Vec<usize>) {
+        let m = classes * per_class;
+        let y: Vec<usize> = (0..m).map(|i| i / per_class).collect();
+        let x = Mat::from_fn(m, dim, |i, d| {
+            let shift = if d % classes == y[i] { 3.0 } else { 0.0 };
+            shift + noise(i, d, 12.9898, 78.233)
+        });
+        (x, y)
     }
 
     #[test]
-    fn batched_certification_is_bitwise_the_per_column_loop() {
-        let n = 12;
-        let mut seen = Vec::new();
-        // A well-conditioned system whose perturbed columns refine, and
-        // Hilbert(12) + 1e-14·I, on which some columns stay Suspect.
-        let well = Mat::from_fn(n, n, |i, j| {
-            if i == j {
-                4.0
+    fn screened_certification_matches_the_compensated_oracle() {
+        let mut seen = Tally::default();
+        let mut check = |g: &Mat, b: &Mat, x: &Mat| {
+            let t = matches_the_compensated_oracle(g, b, x, 4);
+            seen.screened += t.screened;
+            seen.compensated += t.compensated;
+            seen.verdicts.extend(t.verdicts);
+        };
+        // Hilbert(n) + shift·I, with every other column perturbed
+        for (n, shift) in [(6, 1e-6), (10, 1e-10), (12, 1e-13), (12, 1e-14)] {
+            let mut g = hilbert(n);
+            g.add_to_diag(shift);
+            let b = Mat::from_fn(n, 5, |i, j| ((i * 7 + j * 3) as f64 * 0.37).sin());
+            let mut x = Cholesky::factor(&g).unwrap().solve_mat(&b).unwrap();
+            for i in 0..n {
+                x[(i, 1)] *= 1.0 + 1e-7;
+                x[(i, 3)] += 1e-3 * if i % 2 == 0 { 1.0 } else { -1.0 };
+            }
+            check(&g, &b, &x);
+        }
+        // graded columns (κ ≈ 1e13, accurate solve) and near-collinear
+        // ones (κ ≈ 5e13, no scaling to exploit), fitted at α = 0
+        let y: Vec<usize> = (0..16).map(|i| i / 8).collect();
+        let graded = Mat::from_fn(16, 7, |i, j| {
+            noise(i, j, 91.17, 13.73) * 10f64.powi(-(j as i32))
+        });
+        let collinear = Mat::from_fn(16, 7, |i, j| {
+            noise(i, 0, 91.17, 13.73) + 1e-6 * j as f64 * noise(i, j + 1, 91.17, 13.73)
+        });
+        // the pinned fits: dense primal and dual, sparse-patterned dual,
+        // and the tiled primal and dual
+        let (tall, y_tall) = blobs(3, 6, 4);
+        let (wide, y_wide) = blobs(3, 2, 7);
+        let (thin, y_thin) = blobs(3, 6, 30);
+        let thin = Mat::from_fn(18, 30, |i, j| {
+            if (i * 7 + j * 3) % 5 < 2 {
+                thin[(i, j)]
             } else {
-                0.5 / (1 + i + j) as f64
+                0.0
             }
         });
-        let mut bad = hilbert(n);
-        bad.add_to_diag(1e-14);
-        for (g, k) in [(well, 9usize), (bad, 17)] {
-            let chol = Cholesky::factor(&g).unwrap();
-            let cond = chol.condition_estimate();
-            let b = Mat::from_fn(n, k, |i, j| ((i * 7 + j * 3) as f64 * 0.37).sin());
-            let mut x = chol.solve_mat(&b).unwrap();
-            for j in (1..k).step_by(2) {
-                for i in 0..n {
-                    x[(i, j)] += 1e-3 * (j as f64) * if i % 2 == 0 { 1.0 } else { -1.0 };
-                }
-            }
-            seen.extend(batched_matches_per_column(&g, cond, &b, &x, 4));
+        let (tiled, y_tiled) = blobs(10, 61, 44);
+        let (tiled_dual, y_tiled_dual) = blobs(10, 53, 600);
+        let systems = [
+            (&graded, &y, 2, 0.0),
+            (&collinear, &y, 2, 0.0),
+            (&tall, &y_tall, 3, 1.0),
+            (&wide, &y_wide, 3, 1.0),
+            (&thin, &y_thin, 3, 1.0),
+            (&tiled, &y_tiled, 10, 1.0),
+            (&tiled_dual, &y_tiled_dual, 10, 1.0),
+        ];
+        for (x, y, classes, alpha) in systems {
+            let (g, b) = ridge_fixture(x, y, classes, alpha);
+            let sol = Cholesky::factor(&g).unwrap().solve_mat(&b).unwrap();
+            check(&g, &b, &sol);
         }
+        assert!(seen.screened > 0 && seen.compensated > 0);
         for want in [
             CertStatus::Certified,
             CertStatus::Refined,
             CertStatus::Suspect,
         ] {
-            assert!(seen.contains(&want), "no {want:?} column among {seen:?}");
+            assert!(seen.verdicts.contains(&want), "no {want:?} column");
         }
     }
 
     #[test]
-    fn batched_certification_matches_outside_the_split_range_and_on_nan() {
+    fn oracle_holds_outside_the_split_range_and_on_nan() {
         let n = 10;
         let mut g = Mat::from_fn(n, n, |i, j| {
             if i == j {
@@ -433,18 +624,23 @@ mod tests {
         g[(2, 7)] = 1e-170; // below the split range: row 2 takes mul_add
         g[(7, 2)] = 1e-170;
         let chol = Cholesky::factor(&g).unwrap();
-        let cond = chol.condition_estimate();
         let b = Mat::from_fn(n, 6, |i, j| (i as f64 - j as f64) * 1e120);
         let mut x = chol.solve_mat(&b).unwrap();
         x[(4, 1)] *= 1.1; // refined
-        let verdicts = batched_matches_per_column(&g, cond, &b, &x, 3);
-        assert!(verdicts.contains(&CertStatus::Refined), "{verdicts:?}");
+        let t = matches_the_compensated_oracle(&g, &b, &x, 3);
+        assert!(
+            t.verdicts.contains(&CertStatus::Refined),
+            "{:?}",
+            t.verdicts
+        );
         // huge solutions (outside the split range) and a NaN entry
         x[(0, 0)] = 1e200;
         x[(3, 5)] = f64::NAN;
-        batched_matches_per_column(&g, cond, &b, &x, 3);
-        // zero right-hand side and zero solution: η = 0
-        batched_matches_per_column(&g, cond, &Mat::zeros(n, 2), &Mat::zeros(n, 2), 3);
+        let t = matches_the_compensated_oracle(&g, &b, &x, 3);
+        assert_eq!(t.verdicts[5], CertStatus::Suspect);
+        // zero right-hand side and zero solution: η = 0, never screened
+        let t = matches_the_compensated_oracle(&g, &Mat::zeros(n, 2), &Mat::zeros(n, 2), 3);
+        assert_eq!((t.screened, t.compensated), (0, 2));
     }
 
     #[test]
@@ -467,7 +663,8 @@ mod tests {
             x[(i, 0)] = f64::NAN;
         }
         x[(2, 2)] = f64::NAN;
-        let certs = certify_spd_solves(&chol, &g, cond, &bm, &mut x, 3).unwrap();
+        let certs = certify_spd_solves(&chol, &g, cond, &bm, &mut x, 3, &Executor::serial());
+        let certs = certs.unwrap();
         let verdicts: Vec<_> = certs.iter().map(|c| c.certified).collect();
         assert_eq!(
             verdicts,

@@ -255,6 +255,7 @@ impl<'a> RidgeSystem<'a> {
             &self.rhs,
             &mut sol,
             MAX_REFINE_STEPS,
+            &self.exec,
         )?;
         certify_span.finish();
         // the factor is as large as the Gram matrix: free it before the

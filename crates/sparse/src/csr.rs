@@ -344,33 +344,6 @@ impl CsrMatrix {
         }
     }
 
-    /// Append a constant column (value `v`) — the paper's bias-absorption
-    /// trick for sparse data: one extra non-zero per row instead of a dense
-    /// centered matrix.
-    pub fn append_constant_col(&self, v: f64) -> CsrMatrix {
-        let mut indptr = Vec::with_capacity(self.rows + 1);
-        let mut indices = Vec::with_capacity(self.nnz() + self.rows);
-        let mut values = Vec::with_capacity(self.nnz() + self.rows);
-        indptr.push(0);
-        for i in 0..self.rows {
-            let span = self.indptr[i]..self.indptr[i + 1];
-            indices.extend_from_slice(&self.indices[span.clone()]);
-            values.extend_from_slice(&self.values[span]);
-            if v != 0.0 {
-                indices.push(self.cols);
-                values.push(v);
-            }
-            indptr.push(indices.len());
-        }
-        CsrMatrix {
-            rows: self.rows,
-            cols: self.cols + 1,
-            indptr,
-            indices,
-            values,
-        }
-    }
-
     /// Transposed copy, still in CSR (i.e. CSR of `Aᵀ`). `O(nnz + cols)`.
     pub fn transpose(&self) -> CsrMatrix {
         // counting sort by column
@@ -614,21 +587,6 @@ mod tests {
         assert_eq!(s.get(0, 1), 4.0);
         assert_eq!(s.get(1, 2), 2.0);
         assert_eq!(s.nnz(), 4);
-    }
-
-    #[test]
-    fn append_constant_col_adds_one_nnz_per_row() {
-        let a = sample();
-        let aug = a.append_constant_col(1.0);
-        assert_eq!(aug.shape(), (3, 4));
-        assert_eq!(aug.nnz(), a.nnz() + 3);
-        for i in 0..3 {
-            assert_eq!(aug.get(i, 3), 1.0);
-        }
-        // zero constant appends nothing
-        let aug0 = a.append_constant_col(0.0);
-        assert_eq!(aug0.nnz(), a.nnz());
-        assert_eq!(aug0.ncols(), 4);
     }
 
     #[test]

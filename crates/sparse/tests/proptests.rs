@@ -144,20 +144,3 @@ fn normalize_rows_gives_unit_norms() {
         }
     });
 }
-
-#[test]
-fn append_constant_col_preserves_matvec() {
-    check(CASES, |rng| {
-        let (m, n, _, s) = random_csr(rng);
-        let aug = s.append_constant_col(1.0);
-        // multiplying by [x; 0] must equal the original matvec
-        let x: Vec<f64> = (0..n).map(|i| i as f64 - 1.0).collect();
-        let mut x_aug = x.clone();
-        x_aug.push(0.0);
-        assert_eq!(aug.matvec(&x_aug).unwrap(), s.matvec(&x).unwrap());
-        // and the last column contributes the constant
-        let mut bias_only = vec![0.0; n];
-        bias_only.push(2.0);
-        assert_eq!(aug.matvec(&bias_only).unwrap(), vec![2.0; m]);
-    });
-}

@@ -22,7 +22,8 @@
 //! 5. **Coverage** — every fit path (dense NE, sparse dual NE, dense
 //!    LSQR, sparse LSQR, matrix-free operator) records one certificate
 //!    per response and a `worst_backward_error` summary, exported as
-//!    `srda-obs` gauges.
+//!    `srda-obs` gauges, and a direct fit counts the responses its
+//!    screen and its compensated path decided.
 
 use srda::{CertStatus, ExecPolicy, Recorder, ResponseSolver, Srda, SrdaConfig, SrdaSolver};
 use srda_linalg::ops::matvec;
@@ -283,6 +284,28 @@ fn certificates_are_bitwise_identical_serial_vs_threaded() {
     assert_eq!(base.len(), 2, "one certificate per response");
     assert_eq!(base, cert_bits(t.fit_report()), "NE path");
 
+    // a primal system of 121 unknowns: the screen's product splits its
+    // rows across the threads
+    let wide = Mat::from_fn(300, 120, |i, j| {
+        noise(i, j) + if j % 3 == i % 3 { 2.0 } else { 0.0 }
+    });
+    let labels: Vec<usize> = (0..300).map(|i| i % 3).collect();
+    let s = fit_dense_with(
+        &wide,
+        &labels,
+        SrdaSolver::NormalEquations,
+        ExecPolicy::serial(),
+    );
+    let t = fit_dense_with(
+        &wide,
+        &labels,
+        SrdaSolver::NormalEquations,
+        ExecPolicy::threaded(4),
+    );
+    let base = cert_bits(s.fit_report());
+    assert_eq!(base.len(), 2);
+    assert_eq!(base, cert_bits(t.fit_report()), "121-unknown NE path");
+
     // LSQR path (fixed iteration budget, the paper's configuration)
     let lsqr = |exec| {
         fit_dense_with(
@@ -437,4 +460,15 @@ fn certification_summary_is_exported_as_gauges() {
             .to_bits()
     );
     assert_eq!(snapshot.gauges.get("fit.certificates.suspect"), Some(&0.0));
+    // every response was decided by the screen or the compensated path
+    let counter = |name: &str| snapshot.counters.get(name).copied().unwrap_or(0);
+    assert_eq!(
+        counter("certify.screened") + counter("certify.compensated"),
+        model.fit_report().certificates.len() as u64
+    );
+    assert_eq!(
+        counter("certify.screened"),
+        2,
+        "benign responses are screened"
+    );
 }

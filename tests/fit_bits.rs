@@ -269,11 +269,11 @@ const PIN_DENSE_PRIMAL: &[u64] = &[
     0x3f81e6dfe853e7d0,
     0xbf85b4b026754333,
     0xbf2986861a04c0a4,
-    0x3c833d58cc6fdd4a,
+    0x3cea82201e68d1cd,
     0x4063f09c037e0609,
     0x0000000000000000,
     0x0000000000000000,
-    0x3c6b7464585bb64f,
+    0x3cea0e2101674534,
     0x4063f09c037e0609,
     0x0000000000000000,
     0x0000000000000000,
@@ -296,18 +296,18 @@ const PIN_DENSE_DUAL: &[u64] = &[
     0x3f70f59e3532ebd4,
     0xbf82a5abc72b082a,
     0x3f732ba89b60ccc8,
-    0x3c92e2bd7ea27fac,
+    0x3cecb3174cea0f6c,
     0x4054077832715008,
     0x0000000000000000,
     0x0000000000000000,
-    0x3c927787b714dd53,
+    0x3cec6006287b5cd0,
     0x4054077832715008,
     0x0000000000000000,
     0x0000000000000000,
     0x4054077832715008,
 ];
-const PIN_DENSE_PRIMAL_TILED: (usize, u64) = (442, 0xf31aeb575f8279be);
-const PIN_DENSE_DUAL_TILED: (usize, u64) = (5446, 0xa3d00be929ce991f);
+const PIN_DENSE_PRIMAL_TILED: (usize, u64) = (442, 0x766d44f19ad1524a);
+const PIN_DENSE_DUAL_TILED: (usize, u64) = (5446, 0x42b56343451f73b6);
 const PIN_LDA_RLDA: &[(usize, u64)] = &[
     (24, 0xde5fbc777cde3e3d),
     (24, 0x00d9846a9a15a68b),
@@ -334,11 +334,11 @@ const PIN_SPARSE_DUAL: &[u64] = &[
     0x3fc03ffc4f713d00,
     0x3f97c6d7413258ca,
     0xbf9b733246945398,
-    0x3c77e85d70649e27,
+    0x3cf114214799f04f,
     0x40461b8f495e5ec9,
     0x0000000000000000,
     0x0000000000000000,
-    0x3c6a289d5cb8bc3f,
+    0x3cf10c1d85cb70c7,
     0x40461b8f495e5ec9,
     0x0000000000000000,
     0x0000000000000000,
