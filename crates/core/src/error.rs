@@ -134,8 +134,8 @@ impl From<srda_sparse::SparseError> for SrdaError {
 
 /// Probe a fit's optional governor at a coarse stage boundary, turning a
 /// fired budget into [`SrdaError::Interrupted`]. Used by the eigen-based
-/// fits (LDA/RLDA/kernel/spectral regression), whose stages are not
-/// resumable — `checkpoint` is always `None` for them.
+/// fits (LDA/RLDA), whose stages are not resumable — `checkpoint` is
+/// always `None` for them.
 pub(crate) fn check_governor(
     governor: Option<&srda_solvers::RunGovernor>,
 ) -> Result<(), SrdaError> {

@@ -52,35 +52,27 @@
 
 pub mod checkpoint;
 pub mod error;
-pub mod graph;
 pub mod idr_qr;
-pub mod kernel;
 pub mod labels;
 pub mod lda;
 pub mod model;
-pub mod pca;
 pub mod report;
 pub mod responses;
 pub mod rlda;
-pub mod spectral_regression;
 pub mod srda;
 
 pub use checkpoint::{
     CompletedResponse, FitCheckpoint, FitFingerprint, PanelColumn, FIT_CHECKPOINT_FILE,
 };
 pub use error::SrdaError;
-pub use graph::{AffinityGraph, EdgeWeight};
 pub use idr_qr::{IdrQr, IdrQrConfig};
-pub use kernel::{Kernel, KernelSrda, KernelSrdaConfig, KernelSrdaModel};
 pub use labels::ClassIndex;
 pub use lda::{Lda, LdaConfig};
 pub use model::Embedding;
-pub use pca::{Fisherfaces, FisherfacesConfig, Pca, PcaConfig, PcaModel};
 pub use report::{
     CertStatus, FitReport, QuarantineSummary, RecoveryAction, ResponseSolver, SolveCertificate,
 };
 pub use rlda::{Rlda, RldaConfig};
-pub use spectral_regression::{SpectralRegression, SpectralRegressionConfig};
 pub use srda::{
     CheckpointPolicy, FitOutcome, InterruptedFit, Srda, SrdaConfig, SrdaModel, SrdaSolver,
 };

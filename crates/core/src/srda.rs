@@ -228,7 +228,7 @@ pub struct SrdaModel {
 
 /// The data a fit's normal equations are built from. A fit through any
 /// other operator has none, so only LSQR fits it.
-pub(crate) enum Design<'a> {
+enum Design<'a> {
     /// Dense samples as rows; the direct path reads `X̃ = [X | 1]` from
     /// `X` in place, the bias lane added by the kernels.
     Dense(&'a Mat),
@@ -261,7 +261,7 @@ impl Srda {
 
     /// The kernel executor this fit will run on; it carries the config's
     /// recorder so kernel-dispatch counters land in the same registry.
-    pub(crate) fn executor(&self) -> Executor {
+    fn executor(&self) -> Executor {
         Executor::with_recorder(self.config.exec, self.config.recorder)
     }
 
@@ -327,7 +327,7 @@ impl Srda {
     /// Run `f` under the top-level `fit` span, streaming the flam it
     /// spends into the registry counter `flam.fit`. With a disabled
     /// recorder this is one branch and a direct call.
-    pub(crate) fn instrumented_fit<T>(&self, f: impl FnOnce() -> T) -> T {
+    fn instrumented_fit<T>(&self, f: impl FnOnce() -> T) -> T {
         let rec = self.config.recorder;
         if !rec.is_enabled() {
             return f();
@@ -346,7 +346,9 @@ impl Srda {
     }
 
     /// The labelled fit through `op`, the bias-augmented `X̃ = [X | 1]`:
-    /// the class responses of `y` (§III.A), then [`Srda::fit_responses`].
+    /// the class responses of `y` (§III.A), then the ridge problem
+    /// (Eqn 19) of every response with the configured solver — the ridge
+    /// ladder over `design`'s normal equations, or LSQR through `op`.
     fn fit_design(
         &self,
         design: Design<'_>,
@@ -366,26 +368,11 @@ impl Srda {
             let index = ClassIndex::new(y)?;
             let ybar = responses::generate(&index);
             prepare.finish();
-            self.fit_responses(design, op, &ybar, y)
+            match self.config.solver {
+                SrdaSolver::NormalEquations => self.fit_direct(design, op, &ybar),
+                SrdaSolver::Lsqr { max_iter, tol } => self.fit_lsqr(op, &ybar, y, max_iter, tol),
+            }
         })
-    }
-
-    /// Solve the ridge problem (Eqn 19) of every column of `ybar` with the
-    /// configured solver: the ridge ladder over `design`'s normal
-    /// equations, or LSQR through `op` (`X̃ = [X | 1]`). `labels` only feed
-    /// the checkpoint fingerprint, so a fit that neither checkpoints nor
-    /// resumes may pass none.
-    pub(crate) fn fit_responses(
-        &self,
-        design: Design<'_>,
-        op: &dyn LinearOperator,
-        ybar: &Mat,
-        labels: &[usize],
-    ) -> Result<FitOutcome> {
-        match self.config.solver {
-            SrdaSolver::NormalEquations => self.fit_direct(design, op, ybar),
-            SrdaSolver::Lsqr { max_iter, tol } => self.fit_lsqr(op, ybar, labels, max_iter, tol),
-        }
     }
 
     /// The normal-equation fit: the ridge ladder over the design's Gram

@@ -190,24 +190,3 @@ fn heavier_regularization_never_grows_weights() {
         assert!(n2 <= n1 + 1e-9, "{n2} > {n1}");
     });
 }
-
-#[test]
-fn kernel_linear_gram_equals_xxt() {
-    check(CASES, |rng| {
-        let (x, _) = dataset(rng);
-        let k = srda::Kernel::Linear.gram(&x);
-        let xxt = srda_linalg::ops::gram_t(&x);
-        assert!(k.approx_eq(&xxt, 1e-9));
-    });
-}
-
-#[test]
-fn class_graph_rows_sum_to_one() {
-    check(CASES, |rng| {
-        let (_, y) = dataset(rng);
-        let g = srda::AffinityGraph::supervised(&y);
-        for d in g.degrees() {
-            assert!((d - 1.0).abs() < 1e-12);
-        }
-    });
-}

@@ -42,12 +42,12 @@ pub use srda_obs::Recorder;
 pub const REDUCE_BLOCK_ROWS: usize = 1024;
 
 /// Row-block granularity of [`Executor::for_each_row_block`]: the output
-/// row panels of `dense::{gemm, gemm_transb, gram_t, matvec}`,
-/// `sparse::{csr_matvec, csr_matmul_dense, csr_gram_t}` and the kernel-SRDA
-/// Gram matrices. `dense::{gram, gemm_transa}` and their `_augmented`
-/// forms do not read it: their register tiles split the output into one
-/// span per thread. Purely a performance constant: results are identical
-/// for every positive value.
+/// row panels of `dense::{gemm, gemm_transb, gram_t, matvec}` and
+/// `sparse::{csr_matvec, csr_matmul_dense, csr_gram_t}`.
+/// `dense::{gram, gemm_transa}` and their `_augmented` forms do not read
+/// it: their register tiles split the output into one span per thread.
+/// Purely a performance constant: results are identical for every
+/// positive value.
 const ROW_BLOCK: usize = 64;
 
 /// Execution policy threaded through `SrdaConfig` and the CLI: how many

@@ -73,25 +73,6 @@ pub fn class_means(a: &Mat, labels: &[usize], n_classes: usize) -> Result<(Mat, 
     Ok((centroids, counts))
 }
 
-/// Per-column standard deviation (population, i.e. divisor `m`).
-pub fn col_stds(a: &Mat) -> Vec<f64> {
-    let (m, n) = a.shape();
-    if m == 0 {
-        return vec![0.0; n];
-    }
-    let mu = col_means(a);
-    flam::add((m * n) as u64);
-    let mut var = vec![0.0; n];
-    for i in 0..m {
-        for ((v, &x), &mj) in var.iter_mut().zip(a.row(i)).zip(&mu) {
-            let d = x - mj;
-            *v += d * d;
-        }
-    }
-    let inv = 1.0 / m as f64;
-    var.iter().map(|v| (v * inv).sqrt()).collect()
-}
-
 /// Normalize every row to unit L2 norm (rows that are exactly zero are left
 /// untouched). This is the normalization the paper applies to the
 /// 20Newsgroups term-frequency vectors.
@@ -141,14 +122,6 @@ mod tests {
         let (cent, counts) = class_means(&a, &[0, 0, 0], 2).unwrap();
         assert_eq!(counts, vec![3, 0]);
         assert_eq!(cent.row(1), &[0.0, 0.0]);
-    }
-
-    #[test]
-    fn col_stds_basic() {
-        let a = Mat::from_rows(&[vec![1.0], vec![3.0]]).unwrap();
-        let s = col_stds(&a);
-        assert!((s[0] - 1.0).abs() < 1e-14);
-        assert_eq!(col_stds(&Mat::zeros(0, 2)), vec![0.0, 0.0]);
     }
 
     #[test]

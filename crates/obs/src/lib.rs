@@ -6,7 +6,7 @@
 //! itself: every fit can emit a span tree covering its wall time, a
 //! registry of counters/gauges/histograms (including the flam complexity
 //! counters), and the full per-iteration residual trajectory of every
-//! LSQR/CGLS solve. The whole layer is dependency-free.
+//! LSQR solve. The whole layer is dependency-free.
 //!
 //! ## The `Recorder` handle
 //!

@@ -42,7 +42,7 @@ pub struct HistogramSnapshot {
 pub struct TraceSnapshot {
     /// Channel label (e.g. `fit/response[3]/lsqr`).
     pub label: String,
-    /// `"lsqr"` or `"cgls"` (empty if the solve never configured it).
+    /// Solver name, e.g. `"lsqr"` (empty if the solve never configured it).
     pub solver: String,
     /// Execution backend the solve ran on.
     pub backend: String,

@@ -1,11 +1,11 @@
-//! Solver telemetry: the per-iteration state of an LSQR or CGLS run.
+//! Solver telemetry: the per-iteration state of an LSQR run.
 //!
 //! Each solve that runs under an enabled recorder gets its own channel
 //! ([`SolverTrace`]), so concurrent response solves never contend on a
 //! shared structure. The channel records exactly the quantities the solver
-//! already computes — the damped residual norm and the `‖Aᵀr‖` estimate
-//! for LSQR, the gradient norm for CGLS — plus the damping in effect, the
-//! execution backend, and how many governor checks the loop made.
+//! already computes — the damped residual norm and the `‖Aᵀr‖` estimate —
+//! plus the damping in effect, the execution backend, and how many
+//! governor checks the loop made.
 //! Because nothing here feeds back into the solver, a traced run is
 //! bitwise identical to an untraced one, and (by the kernel determinism
 //! contract) serial and threaded backends produce identical telemetry.
@@ -18,11 +18,10 @@ use std::sync::{Arc, Mutex};
 pub struct IterationRecord {
     /// 1-based iteration number (matches `LsqrResult::iterations`).
     pub iteration: usize,
-    /// LSQR: damped residual `‖[r; damp·x]‖` estimate. CGLS: gradient
-    /// norm `‖Aᵀr − αx‖`.
+    /// Damped residual `‖[r; damp·x]‖` estimate.
     pub residual: f64,
-    /// LSQR: the `‖Aᵀr̄‖` estimate `α·|c·φ̄|` from the second
-    /// Paige-Saunders rule. CGLS: the same gradient norm as `residual`.
+    /// The `‖Aᵀr̄‖` estimate `α·|c·φ̄|` from the second Paige-Saunders
+    /// rule.
     pub atr_norm: f64,
 }
 
@@ -88,9 +87,9 @@ impl SolverTrace {
         &self.inner.label
     }
 
-    /// Record the solve's static context: solver name (`"lsqr"`,
-    /// `"cgls"`), execution backend (`"serial"`, `"threaded"`), and the
-    /// damping parameter in effect.
+    /// Record the solve's static context: solver name (`"lsqr"`),
+    /// execution backend (`"serial"`, `"threaded"`), and the damping
+    /// parameter in effect.
     pub fn configure(&self, solver: &str, backend: &str, damp: f64) {
         let mut meta = self.inner.meta.lock().expect("trace meta poisoned");
         meta.solver = solver.to_string();

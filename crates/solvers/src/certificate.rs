@@ -1,6 +1,6 @@
 //! Machine-checkable solution-quality certificates.
 //!
-//! Every ridge solve in the workspace — direct Cholesky, damped LSQR/CGLS,
+//! Every ridge solve in the workspace — direct Cholesky, damped LSQR,
 //! or a ladder-recovered hybrid — can produce a [`SolveCertificate`]
 //! answering the question the error *type* cannot: "the solve returned
 //! finite numbers, but are they any good?". The certificate pairs an a
@@ -42,7 +42,7 @@ use srda_linalg::{refine, vector, Cholesky, Executor, Mat, Result};
 pub const CERTIFY_BOUND: f64 = 1e-4;
 
 /// Residual acceptance threshold for matrix-free certificates: the
-/// relative normal-equation residual of a converged damped LSQR/CGLS run
+/// relative normal-equation residual of a converged damped LSQR run
 /// (default tol 1e-10) sits orders of magnitude below this; anything above
 /// it means the iteration stopped early or stalled.
 pub const CERTIFY_RESIDUAL: f64 = 1e-6;

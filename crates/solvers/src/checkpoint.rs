@@ -1,5 +1,5 @@
-//! Serializable solver checkpoints: the full running state of an LSQR or
-//! CGLS solve, CRC-guarded on disk and written atomically through
+//! Serializable solver checkpoints: the full running state of an LSQR
+//! solve, CRC-guarded on disk and written atomically through
 //! [`srda_sparse::frame`].
 //!
 //! ## Why the whole bidiagonalization state
@@ -21,7 +21,7 @@
 //!
 //! ```text
 //! magic      8 bytes  b"SRDACKP1"
-//! kind       1 byte   1 = LSQR, 2 = CGLS
+//! kind       1 byte   1 = LSQR (2, a retired CGLS record, is refused)
 //! payload    ...      the fields in to_bytes() order
 //! crc32      4 bytes  CRC-32/IEEE of magic+kind+payload
 //! ```
@@ -38,7 +38,6 @@ use std::path::Path;
 pub const CHECKPOINT_MAGIC: &[u8; 8] = b"SRDACKP1";
 
 const KIND_LSQR: u8 = 1;
-const KIND_CGLS: u8 = 2;
 
 /// What went wrong reading or writing a checkpoint.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -163,25 +162,6 @@ pub struct LsqrCheckpoint {
     pub residual_trace: Vec<f64>,
 }
 
-/// The complete mid-run state of a CGLS solve.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CglsCheckpoint {
-    /// Which problem this state belongs to (damp_bits carries α's bits).
-    pub fingerprint: ProblemFingerprint,
-    /// Iterations completed when the snapshot was taken.
-    pub iteration: usize,
-    /// Current iterate.
-    pub x: Vec<f64>,
-    /// Current residual `b − A·x` (length `nrows`).
-    pub r: Vec<f64>,
-    /// Search direction (length `ncols`).
-    pub p: Vec<f64>,
-    /// Current `‖s‖²` recurrence value.
-    pub gamma: f64,
-    /// Initial `‖s‖²` (the relative stopping reference).
-    pub gamma0: f64,
-}
-
 // ---------------------------------------------------------------------------
 // binary encoding: a `srda_sparse::frame` record tagged SRDACKP1
 // ---------------------------------------------------------------------------
@@ -212,40 +192,11 @@ fn dec_fingerprint(r: &mut Reader) -> Result<ProblemFingerprint, CheckpointError
     })
 }
 
-/// Start a record of the given kind.
-fn writer(kind: u8) -> Writer {
-    let mut w = Writer::new(CHECKPOINT_MAGIC);
-    w.u8(kind);
-    w
-}
-
-/// Verify magic and CRC, and check the kind tag.
-fn reader<'a>(bytes: &'a [u8], kind: u8, kind_name: &str) -> Result<Reader<'a>, CheckpointError> {
-    let mut r = Reader::open(bytes, CHECKPOINT_MAGIC)?;
-    let got_kind = r.u8()?;
-    if got_kind != kind {
-        return Err(CheckpointError::Mismatch(format!(
-            "checkpoint kind {got_kind} is not a {kind_name} checkpoint"
-        )));
-    }
-    Ok(r)
-}
-
-/// [`frame::write_atomic`], with the error naming the path.
-fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), CheckpointError> {
-    frame::write_atomic(path, bytes)
-        .map_err(|e| CheckpointError::Io(format!("{}: {e}", path.display())))
-}
-
-/// Read a whole checkpoint file.
-fn read_file(path: &Path) -> Result<Vec<u8>, CheckpointError> {
-    std::fs::read(path).map_err(|e| CheckpointError::Io(format!("{}: {e}", path.display())))
-}
-
 impl LsqrCheckpoint {
     /// Serialize to the `SRDACKP1` byte format (CRC appended).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = writer(KIND_LSQR);
+        let mut w = Writer::new(CHECKPOINT_MAGIC);
+        w.u8(KIND_LSQR);
         enc_fingerprint(&mut w, &self.fingerprint);
         w.u64(self.iteration as u64);
         w.f64s(&self.x);
@@ -263,9 +214,17 @@ impl LsqrCheckpoint {
         w.finish()
     }
 
-    /// Parse bytes produced by [`LsqrCheckpoint::to_bytes`].
+    /// Parse bytes produced by [`LsqrCheckpoint::to_bytes`]: magic and
+    /// CRC are verified, and a record of any other kind is a
+    /// [`CheckpointError::Mismatch`].
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CheckpointError> {
-        let mut r = reader(bytes, KIND_LSQR, "LSQR")?;
+        let mut r = Reader::open(bytes, CHECKPOINT_MAGIC)?;
+        let kind = r.u8()?;
+        if kind != KIND_LSQR {
+            return Err(CheckpointError::Mismatch(format!(
+                "checkpoint kind {kind} is not an LSQR checkpoint"
+            )));
+        }
         let ckpt = LsqrCheckpoint {
             fingerprint: dec_fingerprint(&mut r)?,
             iteration: r.usize()?,
@@ -288,53 +247,15 @@ impl LsqrCheckpoint {
 
     /// Write atomically to `path` with [`frame::write_atomic`].
     pub fn write_atomic(&self, path: &Path) -> Result<(), CheckpointError> {
-        write_atomic(path, &self.to_bytes())
+        frame::write_atomic(path, &self.to_bytes())
+            .map_err(|e| CheckpointError::Io(format!("{}: {e}", path.display())))
     }
 
     /// Read and validate a checkpoint file.
     pub fn read(path: &Path) -> Result<Self, CheckpointError> {
-        Self::from_bytes(&read_file(path)?)
-    }
-}
-
-impl CglsCheckpoint {
-    /// Serialize to the `SRDACKP1` byte format (CRC appended).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = writer(KIND_CGLS);
-        enc_fingerprint(&mut w, &self.fingerprint);
-        w.u64(self.iteration as u64);
-        w.f64s(&self.x);
-        w.f64s(&self.r);
-        w.f64s(&self.p);
-        w.f64(self.gamma);
-        w.f64(self.gamma0);
-        w.finish()
-    }
-
-    /// Parse bytes produced by [`CglsCheckpoint::to_bytes`].
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, CheckpointError> {
-        let mut r = reader(bytes, KIND_CGLS, "CGLS")?;
-        let ckpt = CglsCheckpoint {
-            fingerprint: dec_fingerprint(&mut r)?,
-            iteration: r.usize()?,
-            x: r.f64s()?,
-            r: r.f64s()?,
-            p: r.f64s()?,
-            gamma: r.f64()?,
-            gamma0: r.f64()?,
-        };
-        r.finish()?;
-        Ok(ckpt)
-    }
-
-    /// Write atomically to `path` with [`frame::write_atomic`].
-    pub fn write_atomic(&self, path: &Path) -> Result<(), CheckpointError> {
-        write_atomic(path, &self.to_bytes())
-    }
-
-    /// Read and validate a checkpoint file.
-    pub fn read(path: &Path) -> Result<Self, CheckpointError> {
-        Self::from_bytes(&read_file(path)?)
+        let bytes = std::fs::read(path)
+            .map_err(|e| CheckpointError::Io(format!("{}: {e}", path.display())))?;
+        Self::from_bytes(&bytes)
     }
 }
 
@@ -382,21 +303,6 @@ mod tests {
     }
 
     #[test]
-    fn cgls_roundtrip_is_exact() {
-        let ckpt = CglsCheckpoint {
-            fingerprint: sample_fp(),
-            iteration: 5,
-            x: vec![1.0, 2.0, 3.0, 4.0],
-            r: vec![0.5; 7],
-            p: vec![-1.0, 0.0, 1.0, 2.0],
-            gamma: 0.0625,
-            gamma0: 17.0,
-        };
-        let back = CglsCheckpoint::from_bytes(&ckpt.to_bytes()).unwrap();
-        assert_eq!(back, ckpt);
-    }
-
-    #[test]
     fn bit_flip_is_detected() {
         let mut bytes = sample_lsqr().to_bytes();
         let mid = bytes.len() / 2;
@@ -420,8 +326,12 @@ mod tests {
 
     #[test]
     fn wrong_kind_is_mismatch() {
-        let bytes = sample_lsqr().to_bytes();
-        match CglsCheckpoint::from_bytes(&bytes) {
+        // A well-formed record of kind 2: right magic and CRC, refused on
+        // the kind byte alone.
+        let mut w = Writer::new(CHECKPOINT_MAGIC);
+        w.u8(2);
+        enc_fingerprint(&mut w, &sample_fp());
+        match LsqrCheckpoint::from_bytes(&w.finish()) {
             Err(CheckpointError::Mismatch(_)) => {}
             other => panic!("expected Mismatch, got {other:?}"),
         }

@@ -15,8 +15,6 @@
 //!   densifying a sparse matrix).
 //! * [`lsqr`](mod@lsqr) — the LSQR algorithm of Paige & Saunders (ACM TOMS 1982)
 //!   with damping `√α`, the paper's linear-time engine (§III.C.2).
-//! * [`cgls`] — conjugate-gradient on the regularized normal equations,
-//!   a second iterative engine used for cross-checks and ablations.
 //! * [`ridge`] — direct solvers: primal normal equations
 //!   `(XᵀX + αI)a = Xᵀȳ` via Cholesky, and the dual form
 //!   `(XXᵀ + αI)u = ȳ, a = Xᵀu` (paper Eqn 21) that is cheaper when
@@ -34,14 +32,13 @@
 //!   cancellation ([`RunGovernor`]/[`CancelToken`]), checked inside every
 //!   iterative loop and before every expensive factorization attempt.
 //! * [`checkpoint`] — CRC-guarded, atomically-written solver state
-//!   ([`LsqrCheckpoint`]/`CglsCheckpoint`) that resumes an interrupted
-//!   solve to a bitwise-identical trajectory.
+//!   ([`LsqrCheckpoint`]) that resumes an interrupted solve to a
+//!   bitwise-identical trajectory.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod certificate;
-pub mod cgls;
 pub mod checkpoint;
 pub mod governor;
 pub mod lsqr;
@@ -52,7 +49,7 @@ pub use certificate::{
     certify_operator, certify_operator_block, certify_spd_solve, certify_spd_solves,
     worst_backward_error, CertStatus, SolveCertificate, CERTIFY_BOUND, CERTIFY_RESIDUAL,
 };
-pub use checkpoint::{CglsCheckpoint, CheckpointError, LsqrCheckpoint, ProblemFingerprint};
+pub use checkpoint::{CheckpointError, LsqrCheckpoint, ProblemFingerprint};
 pub use governor::{CancelToken, Interrupt, RunBudget, RunGovernor};
 pub use lsqr::{
     lsqr, lsqr_controlled, lsqr_panel, CompletedResponse, LsqrConfig, LsqrResult, PanelColumn,

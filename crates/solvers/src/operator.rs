@@ -16,7 +16,7 @@ pub trait LinearOperator {
     /// Number of columns `n` (features).
     fn ncols(&self) -> usize;
     /// `y = A·x` into a caller-provided buffer (`x.len() == ncols()`,
-    /// `y.len() == nrows()`) — what the LSQR/CGLS inner loops call once
+    /// `y.len() == nrows()`) — what the LSQR inner loop calls once
     /// per iteration. Every entry of `y` is overwritten.
     fn apply_into(&self, x: &[f64], y: &mut [f64]);
     /// `y = Aᵀ·x` into a caller-provided buffer (`x.len() == nrows()`,

@@ -5,7 +5,6 @@
 use srda_linalg::ops::{gram, matvec_t};
 use srda_linalg::{Cholesky, Mat};
 use srda_rng::{check, SplitMix64};
-use srda_solvers::cgls::{cgls, CglsConfig};
 use srda_solvers::lsqr::{lsqr, LsqrConfig};
 use srda_solvers::ridge::RidgeSolver;
 use srda_solvers::{AugmentedOp, CenteredOp, LinearOperator};
@@ -40,27 +39,6 @@ fn lsqr_matches_cholesky_oracle() {
                 damp: alpha.sqrt(),
                 max_iter: 500,
                 tol: 0.0,
-            },
-        );
-        let want = oracle(&a, &b, alpha);
-        let scale = srda_linalg::vector::norm2(&want).max(1.0);
-        for (u, v) in r.x.iter().zip(&want) {
-            assert!((u - v).abs() < 1e-6 * scale, "{u} vs {v}");
-        }
-    });
-}
-
-#[test]
-fn cgls_matches_cholesky_oracle() {
-    check(CASES, |rng| {
-        let (a, b, alpha) = problem(rng);
-        let r = cgls(
-            &a,
-            &b,
-            &CglsConfig {
-                alpha,
-                max_iter: 500,
-                tol: 1e-14,
             },
         );
         let want = oracle(&a, &b, alpha);

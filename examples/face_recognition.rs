@@ -50,32 +50,7 @@ fn main() {
             out.train_flam.unwrap() as f64 / 1e9,
         );
     }
-    // bonus row: the classical Fisherfaces two-stage pipeline the paper's
-    // §II-A analysis subsumes (not part of the paper's comparison tables)
-    {
-        let t0 = std::time::Instant::now();
-        let emb = srda::Fisherfaces::default()
-            .fit_dense(&train.x, &train.labels)
-            .unwrap();
-        let secs = t0.elapsed().as_secs_f64();
-        let z_train = emb.transform_dense(&train.x).unwrap();
-        let z_test = emb.transform_dense(&test.x).unwrap();
-        let err = srda_eval::nearest_centroid_error_rate(
-            &z_train,
-            &train.labels,
-            &z_test,
-            &test.labels,
-            data.n_classes,
-        );
-        println!(
-            "{:8} {:>9.2} {:>10.3} {:>14}",
-            "PCA+LDA",
-            err * 100.0,
-            secs,
-            "(≈ LDA)"
-        );
-    }
 
     println!("\nexpected shape (paper Tables III/IV): SRDA ≈ RLDA < IDR/QR < LDA in error;");
-    println!("SRDA much faster than LDA/RLDA, IDR/QR fastest; PCA+LDA tracks LDA (§II-A).");
+    println!("SRDA much faster than LDA/RLDA, IDR/QR fastest.");
 }

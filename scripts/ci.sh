@@ -80,6 +80,15 @@ awk -v d="$rel_delta" 'BEGIN { exit !(d < 0.02) }' || {
     exit 1
 }
 
+# Every example runs once in release and must exit 0; clippy above only
+# compiles them. Their printed numbers are not gated.
+echo "==> examples (each runs once in release)"
+for example in examples/*.rs; do
+    name=$(basename "$example" .rs)
+    echo "    $name"
+    cargo run -q --offline --locked --release --example "$name" > /dev/null
+done
+
 # Kill-and-resume smoke: a fit cut off by an iteration budget must exit
 # with code 3, leave a checkpoint behind, and — after `srda resume` —
 # produce a model file that is byte-identical to the uninterrupted

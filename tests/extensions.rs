@@ -1,103 +1,10 @@
-//! Integration tests for the beyond-the-paper extensions (the ones the
-//! paper's §III explicitly gestures at): spectral regression over general
-//! graphs, kernel SRDA, incremental refits, and the ingestion pipeline.
+//! Integration tests for the workflows around the paper's fits:
+//! incremental refits, the ingestion pipeline, IDX input and
+//! cross-validated `α` selection.
 
-use srda::{
-    AffinityGraph, EdgeWeight, Kernel, KernelSrda, KernelSrdaConfig, SpectralRegression,
-    SpectralRegressionConfig, Srda, SrdaConfig, SrdaSolver,
-};
+use srda::{Srda, SrdaConfig, SrdaSolver};
 use srda_data::ingest::{ingest_corpus, VocabularyOptions};
-use srda_data::{mnist_like, per_class_split};
-
-#[test]
-fn spectral_regression_on_class_graph_classifies_like_srda() {
-    let data = mnist_like(0.05, 11);
-    let split = per_class_split(&data.labels, 10, 0);
-    let tr = data.select(&split.train);
-    let te = data.select(&split.test);
-
-    let graph = AffinityGraph::supervised(&tr.labels);
-    let sr = SpectralRegression::new(SpectralRegressionConfig {
-        n_components: data.n_classes - 1,
-        alpha: 1.0,
-        lsqr_iterations: None,
-        ..Default::default()
-    })
-    .fit_dense(&tr.x, &graph)
-    .unwrap();
-    let srda = Srda::new(SrdaConfig::default())
-        .fit_dense(&tr.x, &tr.labels)
-        .unwrap();
-
-    let err_of = |emb: &srda::Embedding| {
-        let zt = emb.transform_dense(&tr.x).unwrap();
-        let ze = emb.transform_dense(&te.x).unwrap();
-        srda_eval::nearest_centroid_error_rate(&zt, &tr.labels, &ze, &te.labels, data.n_classes)
-    };
-    let e_sr = err_of(&sr);
-    let e_srda = err_of(srda.embedding());
-    assert!(
-        (e_sr - e_srda).abs() < 0.05,
-        "SR {e_sr} vs SRDA {e_srda} diverge"
-    );
-}
-
-#[test]
-fn kernel_srda_with_linear_kernel_tracks_linear_srda() {
-    let data = mnist_like(0.04, 13);
-    let split = per_class_split(&data.labels, 8, 0);
-    let tr = data.select(&split.train);
-    let te = data.select(&split.test);
-
-    let kern = KernelSrda::new(KernelSrdaConfig {
-        kernel: Kernel::Linear,
-        alpha: 1.0,
-        ..KernelSrdaConfig::default()
-    })
-    .fit_dense(&tr.x, &tr.labels)
-    .unwrap();
-    let lin = Srda::new(SrdaConfig::default())
-        .fit_dense(&tr.x, &tr.labels)
-        .unwrap();
-
-    let zk_tr = kern.transform_dense(&tr.x).unwrap();
-    let zk_te = kern.transform_dense(&te.x).unwrap();
-    let ek = srda_eval::nearest_centroid_error_rate(
-        &zk_tr,
-        &tr.labels,
-        &zk_te,
-        &te.labels,
-        data.n_classes,
-    );
-    let zl_tr = lin.embedding().transform_dense(&tr.x).unwrap();
-    let zl_te = lin.embedding().transform_dense(&te.x).unwrap();
-    let el = srda_eval::nearest_centroid_error_rate(
-        &zl_tr,
-        &tr.labels,
-        &zl_te,
-        &te.labels,
-        data.n_classes,
-    );
-    // same function class up to the bias treatment: errors should be close
-    assert!((ek - el).abs() < 0.12, "kernel {ek} vs linear {el}");
-}
-
-#[test]
-fn unsupervised_graph_pipeline_runs_end_to_end() {
-    let data = mnist_like(0.03, 17);
-    let graph = AffinityGraph::knn(&data.x, 4, EdgeWeight::Heat { t: 3.0 });
-    assert!(graph.n_edges() > 0);
-    let emb = SpectralRegression::new(SpectralRegressionConfig {
-        n_components: 3,
-        alpha: 0.5,
-        lsqr_iterations: Some(50),
-        ..Default::default()
-    })
-    .fit_dense(&data.x, &graph)
-    .unwrap();
-    assert_eq!(emb.n_components(), 3);
-    assert!(emb.weights().is_finite());
-}
+use srda_data::mnist_like;
 
 #[test]
 fn incremental_refit_through_growing_corpus() {

@@ -1,6 +1,6 @@
 //! Bit pins on the ridge fit paths that no golden covered before: clean
-//! normal-equation fits (dense primal, dense dual, sparse dual), an
-//! incremental warm-started refit, and spectral regression in both modes.
+//! normal-equation fits (dense primal, dense dual, sparse dual) and an
+//! incremental warm-started refit.
 //!
 //! Each pin is the `u64` bit pattern of the weights, then the bias, then
 //! (for SRDA models) four words per certificate — backward error,
@@ -31,10 +31,7 @@
 //! cargo test --test fit_bits -- --ignored --nocapture
 //! ```
 
-use srda::{
-    AffinityGraph, CertStatus, Embedding, Lda, Rlda, SpectralRegression, SpectralRegressionConfig,
-    Srda, SrdaConfig, SrdaModel,
-};
+use srda::{CertStatus, Embedding, Lda, Rlda, Srda, SrdaConfig, SrdaModel};
 use srda_linalg::Mat;
 use srda_sparse::{disk, CooBuilder, CsrMatrix, DiskCsr};
 
@@ -243,17 +240,6 @@ fn incremental() -> Vec<u64> {
     out
 }
 
-fn spectral(lsqr_iterations: Option<usize>) -> Vec<u64> {
-    let (x, y) = blobs(3, 4, 5);
-    let sr = SpectralRegression::new(SpectralRegressionConfig {
-        n_components: 2,
-        alpha: 0.5,
-        lsqr_iterations,
-        ..SpectralRegressionConfig::default()
-    });
-    embedding_bits(&sr.fit_dense(&x, &AffinityGraph::supervised(&y)).unwrap())
-}
-
 // ---------------------------------------------------------------------------
 // committed pins (see module docs for the regeneration recipe)
 // ---------------------------------------------------------------------------
@@ -365,34 +351,6 @@ const PIN_INCREMENTAL: &[u64] = &[
     0x0000000000000000,
     0x000000000000000a,
 ];
-const PIN_SPECTRAL_DIRECT: &[u64] = &[
-    0x3faf820d6f1ab817,
-    0xbfa159fde2779b96,
-    0xbfa57e5b455958cc,
-    0x3fb230d260589767,
-    0xbfb2d7e0f49ca3b7,
-    0xbfbb698fdbf10dc6,
-    0x3fafa75b8981cbe6,
-    0x3f980ff9419dbd87,
-    0xbf99d54a87445a77,
-    0x3fa7f6b63d1915dc,
-    0x3f8d2ea698725883,
-    0x3f4ae90626308dc5,
-];
-const PIN_SPECTRAL_LSQR: &[u64] = &[
-    0x3faf820d6f1ab816,
-    0xbfa159fde2779b5c,
-    0xbfa57e5b455958e6,
-    0x3fb230d260589763,
-    0xbfb2d7e0f49ca3b9,
-    0xbfbb698fdbf10dc8,
-    0x3fafa75b8981cbf1,
-    0x3f980ff9419dbd17,
-    0xbf99d54a87445a45,
-    0x3fa7f6b63d1915ea,
-    0x3f8d2ea69872589c,
-    0x3f4ae90626308d1e,
-];
 
 #[test]
 fn dense_primal_fit_keeps_its_bits() {
@@ -434,12 +392,6 @@ fn incremental_refit_keeps_its_bits() {
     assert_eq!(incremental(), PIN_INCREMENTAL);
 }
 
-#[test]
-fn spectral_regression_keeps_its_bits() {
-    assert_eq!(spectral(None), PIN_SPECTRAL_DIRECT);
-    assert_eq!(spectral(Some(20)), PIN_SPECTRAL_LSQR);
-}
-
 /// Regeneration helper (never runs by default): prints every pin in the
 /// exact format of the `PIN_*` constants.
 #[test]
@@ -450,8 +402,6 @@ fn print_pins() {
         ("PIN_DENSE_DUAL", dense_dual()),
         ("PIN_SPARSE_DUAL", sparse_dual()),
         ("PIN_INCREMENTAL", incremental()),
-        ("PIN_SPECTRAL_DIRECT", spectral(None)),
-        ("PIN_SPECTRAL_LSQR", spectral(Some(20))),
     ];
     for (name, bits) in pins {
         println!("const {name}: &[u64] = &[");

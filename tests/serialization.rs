@@ -2,8 +2,8 @@
 //! model file (`SRDAMDL1`) and sparse matrices survive the out-of-core
 //! `SRDACSR2` file intact and keep producing identical predictions; the
 //! checkpoint formats (`SRDACKP1`, `SRDAFCK2`) keep their exact bytes and
-//! reject every corruption, and a version-1 `SRDAFCK1` fit checkpoint is
-//! refused with a typed error.
+//! reject every corruption, and a version-1 `SRDAFCK1` fit checkpoint and
+//! a kind-2 (CGLS) `SRDACKP1` record are refused with a typed error.
 
 use srda::{Embedding, Srda, SrdaConfig};
 use srda_cli::model_file::{SavedModel, FORMAT_VERSION, MODEL_MAGIC};
@@ -98,7 +98,7 @@ fn model_persistence_workflow() {
 // ---------------------------------------------------------------------------
 
 use srda::{CompletedResponse, FitCheckpoint, FitFingerprint, PanelColumn};
-use srda_solvers::{CglsCheckpoint, LsqrCheckpoint, ProblemFingerprint, StopReason};
+use srda_solvers::{LsqrCheckpoint, ProblemFingerprint, StopReason};
 
 /// A small but fully-populated LSQR checkpoint (every field non-trivial,
 /// so flips in any region hit live data).
@@ -178,23 +178,6 @@ fn lsqr_checkpoint_rejects_every_single_bit_flip() {
 }
 
 #[test]
-fn cgls_checkpoint_rejects_every_single_bit_flip() {
-    let ckpt = CglsCheckpoint {
-        fingerprint: ProblemFingerprint::new(4, 3, 0.1, 1e-9, 30, &[0.5, 1.5, -2.5, 3.0]),
-        iteration: 4,
-        x: vec![0.1, 0.2, 0.3],
-        r: vec![-0.5, 0.25, -0.125, 0.0625],
-        p: vec![1.0, -1.0, 0.5],
-        gamma: 0.75,
-        gamma0: 12.5,
-    };
-    let bytes = ckpt.to_bytes();
-    assert_eq!(&bytes[..8], b"SRDACKP1");
-    assert_eq!(CglsCheckpoint::from_bytes(&bytes).unwrap(), ckpt);
-    assert_every_bit_flip_rejected(&bytes, CglsCheckpoint::from_bytes);
-}
-
-#[test]
 fn fit_checkpoint_rejects_every_single_bit_flip() {
     let ckpt = sample_fit_checkpoint();
     let bytes = ckpt.to_bytes();
@@ -260,15 +243,6 @@ fn unhex(s: &str) -> Vec<u8> {
 #[test]
 fn checkpoint_bytes_are_pinned() {
     let lsqr = tiny_lsqr();
-    let cgls = CglsCheckpoint {
-        fingerprint: ProblemFingerprint::new(2, 1, 0.1, 0.0, 5, &[4.0, 0.5]),
-        iteration: 2,
-        x: vec![-1.5],
-        r: vec![0.25, -0.0],
-        p: vec![2.0],
-        gamma: 0.0625,
-        gamma0: 16.0,
-    };
     let fit = FitCheckpoint {
         fingerprint: FitFingerprint::new(4, 1, 2, 1.0, 10, 1e-8, &[0, 1, 2, 0]),
         completed: vec![CompletedResponse {
@@ -281,14 +255,11 @@ fn checkpoint_bytes_are_pinned() {
         warnings: vec!["w".to_string()],
     };
     let lsqr_bytes = unhex(LSQR_HEX);
-    let cgls_bytes = unhex(CGLS_HEX);
     let fit_bytes = unhex(FIT_HEX);
     assert_eq!(lsqr.to_bytes(), lsqr_bytes);
-    assert_eq!(cgls.to_bytes(), cgls_bytes);
     assert_eq!(fit.to_bytes(), fit_bytes);
     // and the pinned bytes still decode to the fixtures
     assert_eq!(LsqrCheckpoint::from_bytes(&lsqr_bytes).unwrap(), lsqr);
-    assert_eq!(CglsCheckpoint::from_bytes(&cgls_bytes).unwrap(), cgls);
     assert_eq!(FitCheckpoint::from_bytes(&fit_bytes).unwrap(), fit);
 }
 
@@ -303,6 +274,8 @@ const LSQR_HEX: &str = concat!(
     "b2",
 );
 
+/// A kind-2 `SRDACKP1` record, a CGLS solver state as the retired CGLS
+/// encoder wrote it: valid magic and CRC, refused on its kind byte.
 const CGLS_HEX: &str = concat!(
     "53524441434b503102020000000000000001000000000000009a9999999999b9",
     "3f000000000000000005000000000000006b179ffd0200000000000000010000",
@@ -348,6 +321,15 @@ fn version_1_fit_checkpoints_are_rejected_with_a_typed_error() {
     let err = FitCheckpoint::from_bytes(&unhex(FIT_V1_HEX)).unwrap_err();
     assert!(
         matches!(err, srda::CheckpointError::Mismatch(ref m) if m.contains("SRDAFCK1")),
+        "{err}"
+    );
+}
+
+#[test]
+fn cgls_checkpoints_are_refused_with_a_typed_error() {
+    let err = LsqrCheckpoint::from_bytes(&unhex(CGLS_HEX)).unwrap_err();
+    assert!(
+        matches!(err, srda::CheckpointError::Mismatch(ref m) if m.contains("kind 2")),
         "{err}"
     );
 }

@@ -23,10 +23,8 @@
 //! and paste the printed arrays over the `GOLDEN_*` constants below.
 
 use srda::{Recorder, Srda, SrdaConfig, SrdaModel, SrdaSolver};
-use srda_linalg::{ExecPolicy, Executor, Mat};
+use srda_linalg::{ExecPolicy, Mat};
 use srda_obs::IterationRecord;
-use srda_solvers::cgls::{cgls_controlled, CglsConfig, CglsControls};
-use srda_solvers::ExecDense;
 
 /// Three classes, 4-D, deterministic sin-based noise (same generator
 /// family as `tests/governor_resume.rs`): 2 responses × 12 iterations.
@@ -153,18 +151,6 @@ const GOLDEN_LSQR_RES_R1: &[u64] = &[
     0x3b403996b6ffbb29,
 ];
 
-/// CGLS gradient-norm trajectory on the 8×4 seeded problem below.
-const GOLDEN_CGLS_RES: &[u64] = &[
-    0x3facd0ad75ce4426,
-    0x3f8f61ffacfbbf7d,
-    0x3f712ed4051d1f10,
-    0x3c8d7eea48fed23f,
-    0x3c88eb7cb456380d,
-    0x3c85a80a57e8d7d1,
-    0x3c809eeacab398f3,
-    0x3c804f3bd03c0a64,
-];
-
 #[test]
 fn lsqr_telemetry_matches_committed_golden() {
     let (_, traces) = traced_fit(ExecPolicy::serial());
@@ -224,52 +210,6 @@ fn traced_fit_is_bitwise_identical_to_untraced() {
     assert_eq!(weight_bits(&untraced), weight_bits(&traced));
 }
 
-/// The seeded 8×4 CGLS problem for the golden below.
-fn cgls_problem() -> (Mat, Vec<f64>) {
-    let noise = |s: usize| {
-        let x = (s as f64 * 12.9898).sin() * 43758.5453;
-        x - x.floor() - 0.5
-    };
-    let mut a = Mat::zeros(8, 4);
-    for i in 0..8 {
-        for j in 0..4 {
-            a[(i, j)] = noise(1 + i * 4 + j);
-        }
-    }
-    let b: Vec<f64> = (0..8).map(|i| noise(100 + i)).collect();
-    (a, b)
-}
-
-#[test]
-fn cgls_telemetry_matches_committed_golden() {
-    let (a, b) = cgls_problem();
-    let rec = Recorder::new_enabled();
-    let trace = rec.solver_trace("cgls").unwrap();
-    let op = ExecDense::new(&a, Executor::serial());
-    let cfg = CglsConfig {
-        alpha: 0.1,
-        max_iter: 8,
-        tol: 0.0,
-    };
-    let ctl = CglsControls {
-        telemetry: Some(&trace),
-        ..CglsControls::default()
-    };
-    let result = cgls_controlled(&op, &b, &cfg, &ctl);
-    assert!(result.interrupted.is_none());
-
-    let report = rec.snapshot();
-    let t = &report.traces[0];
-    assert_eq!(t.solver, "cgls");
-    assert_eq!(t.damp, 0.1);
-    assert_eq!(bits(&t.iterations, |r| r.residual), GOLDEN_CGLS_RES);
-    // CGLS tracks one quantity (‖Aᵀr − αx‖); it fills both columns
-    assert_eq!(
-        bits(&t.iterations, |r| r.residual),
-        bits(&t.iterations, |r| r.atr_norm)
-    );
-}
-
 #[test]
 fn ungoverned_solve_reports_zero_governor_checks() {
     let (x, y) = three_blobs(6);
@@ -327,28 +267,4 @@ fn print_goldens() {
         println!("res: &[{}];", hex(bits(iters, |r| r.residual)));
         println!("atr: &[{}];", hex(bits(iters, |r| r.atr_norm)));
     }
-    let (a, b) = cgls_problem();
-    let rec = Recorder::new_enabled();
-    let trace = rec.solver_trace("cgls").unwrap();
-    let op = ExecDense::new(&a, Executor::serial());
-    let cfg = CglsConfig {
-        alpha: 0.1,
-        max_iter: 8,
-        tol: 0.0,
-    };
-    cgls_controlled(
-        &op,
-        &b,
-        &cfg,
-        &CglsControls {
-            telemetry: Some(&trace),
-            ..CglsControls::default()
-        },
-    );
-    let report = rec.snapshot();
-    println!("// cgls");
-    println!(
-        "res: &[{}];",
-        hex(bits(&report.traces[0].iterations, |r| r.residual))
-    );
 }
