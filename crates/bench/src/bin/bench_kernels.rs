@@ -9,12 +9,18 @@
 //! the per-column solves as `naive` and checks the whole-panel solve
 //! bitwise against them. `certify_spd` times the compensated backward
 //! errors of PIE's 67 responses as `naive` against the screen's
-//! rounding-error bounds, and also checks that every bound is at least the
-//! compensated value. The `disk_matmul` / `disk_matmul_t` rows time a
+//! rounding-error bounds on the upper-triangle storage a fit certifies
+//! from, checks them bitwise against the screen of the full matrix, and
+//! checks that every bound is at least the compensated value. The `disk_matmul` / `disk_matmul_t` rows time a
 //! `p = 5` block product through `DiskCsr` on a 20NG-shaped SRDACSR file
 //! against the historical per-entry scan (`naive`), report ns per stored
 //! non-zero, and check the block product bitwise against `p` per-column
 //! `matvec` / `matvec_t` passes (they too have no threaded variant).
+//! `cholesky_factor` times `Cholesky::factor`, which copies its input into
+//! a fresh buffer, as `naive` against `Cholesky::factor_in_place` on PIE's
+//! primal system, checks the two factors bitwise, and reports the heap
+//! bytes each call allocates beyond its input, counted by this binary's
+//! global allocator.
 //!
 //! Knobs:
 //! * `SRDA_BENCH_THREADS` — thread count for the threaded variant
@@ -25,12 +31,53 @@
 
 use srda::Recorder;
 use srda_linalg::ops::{gram_exec, matmul_exec};
-use srda_linalg::{flam, refine, Cholesky, ExecPolicy, Executor, Mat};
+use srda_linalg::{flam, refine, Cholesky, ExecPolicy, Executor, Mat, Symmetric};
 use srda_sparse::{disk, CsrMatrix, DiskCsr};
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::fs::File;
 use std::io::{BufReader, Read, Seek, SeekFrom};
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
+
+/// The system allocator, counting the bytes it hands out.
+struct Counting;
+
+static ALLOCATED: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every call is forwarded unchanged to `System`; the counter is
+// only an atomic add.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATED.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCATED.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let grown = new_size.saturating_sub(layout.size());
+        ALLOCATED.fetch_add(grown as u64, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// `f`'s result and the heap bytes allocated while it ran.
+fn allocated_by<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let before = ALLOCATED.load(Ordering::Relaxed);
+    let out = f();
+    (out, ALLOCATED.load(Ordering::Relaxed) - before)
+}
 
 fn env_usize(key: &str, default: usize) -> usize {
     std::env::var(key)
@@ -110,6 +157,9 @@ struct Row {
     /// stored non-zeros one call reads once each (the mat-vec and disk
     /// rows), for ns per entry
     nnz: Option<usize>,
+    /// heap bytes one `naive` and one blocked serial call allocate beyond
+    /// their input (the factor rows)
+    allocated: Option<(u64, u64)>,
 }
 
 fn naive_gram(a: &Mat) -> Mat {
@@ -282,6 +332,7 @@ fn main() {
             identical: g1.as_slice() == g2.as_slice() && g0.shape() == g1.shape(),
             flam: flam::measure(|| gram_exec(&a, &serial)).1,
             nnz: None,
+            allocated: None,
         });
     }
 
@@ -302,6 +353,7 @@ fn main() {
             identical: c1.as_slice() == c2.as_slice() && c0.shape() == c1.shape(),
             flam: flam::measure(|| matmul_exec(&a, &b, &serial)).1,
             nnz: None,
+            allocated: None,
         });
     }
 
@@ -322,6 +374,7 @@ fn main() {
             identical: y1 == y2 && y0.len() == y1.len(),
             flam: flam::measure(|| a.matvec_exec(&x, &serial)).1,
             nnz: Some(a.nnz()),
+            allocated: None,
         });
     }
 
@@ -343,6 +396,7 @@ fn main() {
             identical: g1.as_slice() == g2.as_slice(),
             flam: flam::measure(|| a.gram_t_dense_checked_exec(budget, &serial)).1,
             nnz: None,
+            allocated: None,
         });
     }
 
@@ -376,6 +430,50 @@ fn main() {
             identical: bits(&x0) == bits(&x1),
             flam: flam::measure(|| chol.solve_mat(&b)).1,
             nnz: None,
+            allocated: None,
+        });
+    }
+
+    // Cholesky factorization of PIE's primal system (n + 1 = 1025): the
+    // allocating entry point, which copies its input into a fresh n × n
+    // buffer, against the in-place one, which writes L below the upper
+    // triangle it reads. Both run the same body, so the factors must agree
+    // bitwise and the times differ by the copy.
+    {
+        let n = sc(1025);
+        let a = dense(n + 200, n, 16);
+        let mut g = gram_exec(&a, &serial);
+        g.add_to_diag(1.0);
+        let diag = g.diag();
+        let (t_naive, full) = time_best(reps, || Cholesky::factor(&g).unwrap());
+        // a fresh copy of the input per call, made outside the timing
+        let (mut t_in_place, mut in_place) = (f64::INFINITY, None);
+        for _ in 0..=reps {
+            let input = g.clone();
+            let t = Instant::now();
+            let chol = Cholesky::factor_in_place(input, &diag).unwrap();
+            t_in_place = t_in_place.min(t.elapsed().as_secs_f64());
+            in_place = Some(chol);
+        }
+        let in_place = in_place.expect("at least one call");
+        let lower = |m: &Mat| {
+            (0..n)
+                .flat_map(|i| m.row(i)[..=i].iter().map(|v| v.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        let (_, allocating_bytes) = allocated_by(|| Cholesky::factor(&g).unwrap());
+        let input = g.clone();
+        let (_, in_place_bytes) = allocated_by(|| Cholesky::factor_in_place(input, &diag).unwrap());
+        rows.push(Row {
+            kernel: "cholesky_factor",
+            shape: format!("{n}"),
+            naive: t_naive,
+            serial: t_in_place,
+            threaded: t_in_place,
+            identical: lower(full.l()) == lower(in_place.l()),
+            flam: flam::measure(|| Cholesky::factor_in_place(g.clone(), &diag)).1,
+            nnz: None,
+            allocated: Some((allocating_bytes, in_place_bytes)),
         });
     }
 
@@ -391,9 +489,14 @@ fn main() {
         let b = dense(n, k, 15);
         let x = Cholesky::factor(&g).unwrap().solve_mat(&b).unwrap();
         let (t_naive, etas) = time_best(reps, || refine::backward_errors(&g, &b, &x).unwrap());
-        let screen = |exec: &Executor| refine::backward_error_bounds(&g, &b, &x, exec).unwrap();
+        // the screen as a fit runs it: on the upper storage the in-place
+        // factor leaves, bitwise the screen of the full matrix
+        let diag = g.diag();
+        let stored = Symmetric::upper(&g, &diag);
+        let screen = |exec: &Executor| refine::backward_error_bounds(stored, &b, &x, exec).unwrap();
         let (t_serial, e1) = time_best(reps, || screen(&serial));
         let (t_par, e2) = time_best(reps, || screen(&par));
+        let full = refine::backward_error_bounds(&g, &b, &x, &serial).unwrap();
         let bits = |v: &[f64]| v.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
         rows.push(Row {
             kernel: "certify_spd",
@@ -401,9 +504,12 @@ fn main() {
             naive: t_naive,
             serial: t_serial,
             threaded: t_par,
-            identical: bits(&e1) == bits(&e2) && e1.iter().zip(&etas).all(|(u, e)| u >= e),
+            identical: bits(&e1) == bits(&e2)
+                && bits(&e1) == bits(&full)
+                && e1.iter().zip(&etas).all(|(u, e)| u >= e),
             flam: flam::measure(|| screen(&serial)).1,
             nnz: None,
+            allocated: None,
         });
     }
 
@@ -437,6 +543,7 @@ fn main() {
                 && columns_match(&x, &y1, p, |xj| d.matvec(xj).unwrap()),
             flam,
             nnz: Some(a.nnz()),
+            allocated: None,
         });
 
         let u: Vec<f64> = (0..m * p).map(|i| noise(13 + i)).collect();
@@ -456,6 +563,7 @@ fn main() {
                 && columns_match(&u, &y1, p, |uj| d.matvec_t(uj).unwrap()),
             flam,
             nnz: Some(a.nnz()),
+            allocated: None,
         });
         std::fs::remove_file(&path).ok();
     }
@@ -492,11 +600,14 @@ fn main() {
         let ns_per_nnz = r.nnz.map_or(String::new(), |nnz| {
             format!("\"ns_per_nnz\": {:.3}, ", ns_per(r.serial, nnz))
         });
+        let allocated = r.allocated.map_or(String::new(), |(naive, serial)| {
+            format!("\"naive_alloc_bytes\": {naive}, \"blocked_serial_alloc_bytes\": {serial}, ")
+        });
         json.push_str(&format!(
             "    {{\"kernel\": \"{}\", \"shape\": \"{}\", \"naive_s\": {:.6}, \
              \"blocked_serial_s\": {:.6}, \"threaded_s\": {:.6}, \
              \"speedup_blocked_vs_naive\": {:.3}, \"speedup_threaded_vs_serial\": {:.3}, \
-             \"flam\": {}, \"blocked_serial_gflam_per_s\": {:.3}, {}\"bitwise_identical\": {}}}{}\n",
+             \"flam\": {}, \"blocked_serial_gflam_per_s\": {:.3}, {}{}\"bitwise_identical\": {}}}{}\n",
             r.kernel,
             r.shape,
             r.naive,
@@ -507,6 +618,7 @@ fn main() {
             r.flam,
             r.flam as f64 / r.serial.max(1e-12) / 1e9,
             ns_per_nnz,
+            allocated,
             r.identical,
             if i + 1 < rows.len() { "," } else { "" },
         ));
@@ -547,6 +659,14 @@ fn main() {
             )),
             r.identical
         );
+    }
+    for r in &rows {
+        if let Some((naive, serial)) = r.allocated {
+            println!(
+                "{}: naive allocates {naive} B beyond its input, blocked serial {serial} B",
+                r.kernel
+            );
+        }
     }
     println!(
         "recorder overhead: disabled {:.4}s, enabled {:.4}s ({:+.2}%)",

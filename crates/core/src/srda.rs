@@ -696,7 +696,10 @@ fn record_lsqr_response(
 
 /// The bytes of the matrix `RidgeSystem::dense` materializes for `x`
 /// (`m × n`), and what it is: the `(n+1)²` primal Gram when `n < m`, else
-/// the `m²` dual Gram. Both branches read `X` in place.
+/// the `m²` dual Gram. Both branches read `X` in place, and the Cholesky
+/// factor is written over the Gram matrix's lower triangle, so this one
+/// matrix is the solve's whole dense working set (the
+/// `ridge.working_bytes` gauge).
 fn dense_system_bytes(x: &Mat) -> (usize, &'static str) {
     let m = x.nrows();
     if x.ncols() < m {

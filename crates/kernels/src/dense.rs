@@ -20,6 +20,7 @@
 //! 64 rows (the crate's row-block constant).
 
 use crate::Executor;
+use std::ops::Range;
 
 /// Column-tile width for the `p` (inner/shared) dimension of [`gemm`].
 /// Per-element addition order stays `p`-ascending for every tile size, so
@@ -37,14 +38,122 @@ pub fn gemm(exec: &Executor, a: &[f64], m: usize, k: usize, b: &[f64], n: usize,
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(c.len(), m * n);
+    gemm_tiles(exec, &RowMajor { a, k }, k, b, n, c);
+}
+
+/// [`gemm`] with a symmetric `k x k` left operand stored as LAPACK's
+/// `uplo = 'U'`: `a[i][p]` is `upper[i][p]` for `p > i`, `upper[p][i]`
+/// for `p < i` and `diag[i]` on the diagonal, so neither the diagonal nor
+/// the strict lower triangle of `upper` is read. Each `c[i][j]` is bitwise
+/// the [`gemm`] entry of the full symmetric matrix: every row block meets
+/// its rows one tile of the shared dimension at a time, as in [`gemm`].
+/// A tile wholly right of the diagonal is read in place; any other is
+/// first copied out of `upper` row by row, the part left of the diagonal
+/// transposed on the way.
+pub fn gemm_sym_upper(
+    exec: &Executor,
+    upper: &[f64],
+    diag: &[f64],
+    b: &[f64],
+    n: usize,
+    c: &mut [f64],
+) {
+    exec.note_kernel("kernel.dense.gemm");
+    let k = diag.len();
+    debug_assert_eq!(upper.len(), k * k);
+    debug_assert_eq!(b.len(), k * n);
+    debug_assert_eq!(c.len(), k * n);
+    gemm_tiles(exec, &SymUpper { upper, diag }, k, b, n, c);
+}
+
+/// Tiles of a left operand of [`gemm_tiles`].
+trait LeftTiles: Sync {
+    /// Rows `rows` × columns `cols` of the operand, row-major, and its row
+    /// stride: borrowed in place or copied into `scratch`.
+    fn tile<'s>(
+        &'s self,
+        rows: Range<usize>,
+        cols: Range<usize>,
+        scratch: &'s mut Vec<f64>,
+    ) -> (&'s [f64], usize);
+}
+
+/// A row-major matrix with `k` columns.
+struct RowMajor<'a> {
+    a: &'a [f64],
+    k: usize,
+}
+
+impl LeftTiles for RowMajor<'_> {
+    fn tile<'s>(
+        &'s self,
+        rows: Range<usize>,
+        cols: Range<usize>,
+        _: &'s mut Vec<f64>,
+    ) -> (&'s [f64], usize) {
+        (&self.a[rows.start * self.k + cols.start..], self.k)
+    }
+}
+
+/// The symmetric matrix of [`gemm_sym_upper`].
+struct SymUpper<'a> {
+    upper: &'a [f64],
+    diag: &'a [f64],
+}
+
+impl LeftTiles for SymUpper<'_> {
+    fn tile<'s>(
+        &'s self,
+        rows: Range<usize>,
+        cols: Range<usize>,
+        scratch: &'s mut Vec<f64>,
+    ) -> (&'s [f64], usize) {
+        let (n, w) = (self.diag.len(), cols.len());
+        if cols.start >= rows.end {
+            // wholly right of the diagonal: a[i][p] = upper[i][p] in place
+            return (&self.upper[rows.start * n + cols.start..], n);
+        }
+        scratch.resize(rows.len() * w, 0.0);
+        // a[i][p] = upper[p][i] left of the diagonal: row p of `upper`
+        // read contiguously and written down column p of the tile
+        for p in cols.clone() {
+            let below = rows.start.max(p + 1)..rows.end;
+            let src = self.upper[p * n..(p + 1) * n]
+                .get(below.clone())
+                .unwrap_or(&[]);
+            for (i, &v) in below.zip(src) {
+                scratch[(i - rows.start) * w + p - cols.start] = v;
+            }
+        }
+        // the diagonal and a[i][p] = upper[i][p] right of it
+        for i in rows.clone() {
+            let row = &mut scratch[(i - rows.start) * w..(i - rows.start + 1) * w];
+            if cols.contains(&i) {
+                row[i - cols.start] = self.diag[i];
+            }
+            let from = cols.start.max(i + 1);
+            if from < cols.end {
+                row[from - cols.start..]
+                    .copy_from_slice(&self.upper[i * n + from..i * n + cols.end]);
+            }
+        }
+        (scratch, w)
+    }
+}
+
+/// The loop of [`gemm`] over any [`LeftTiles`] with `k` columns.
+fn gemm_tiles(exec: &Executor, a: &impl LeftTiles, k: usize, b: &[f64], n: usize, c: &mut [f64]) {
     exec.for_each_row_block(c, n.max(1), |first, block| {
         block.fill(0.0);
+        let rows = first..first + block.len() / n.max(1);
+        let mut scratch = Vec::new();
         let mut pt = 0;
         while pt < k {
             let pe = (pt + GEMM_P_TILE).min(k);
+            let (tile, stride) = a.tile(rows.clone(), pt..pe, &mut scratch);
             for (r, crow) in block.chunks_mut(n.max(1)).enumerate() {
-                let arow = &a[(first + r) * k..(first + r + 1) * k];
-                for (p, &aip) in arow.iter().enumerate().take(pe).skip(pt) {
+                let seg = &tile[r * stride..r * stride + pe - pt];
+                for (p, &aip) in (pt..pe).zip(seg) {
                     if aip == 0.0 {
                         continue;
                     }
@@ -151,23 +260,31 @@ pub fn gram(exec: &Executor, a: &[f64], m: usize, n: usize, g: &mut [f64]) {
     mirror_upper(g, n);
 }
 
-/// [`gram`] of the bias-augmented `[a | 1]`: `g` is `(n + 1) x (n + 1)`.
-/// Bitwise the Gram matrix of the materialized `[a | 1]`, without
-/// building it.
-pub fn gram_augmented(exec: &Executor, a: &[f64], m: usize, n: usize, g: &mut [f64]) {
+/// The upper triangle, diagonal included, of the Gram matrix of the
+/// bias-augmented `[a | 1]`: `g` is `(n + 1) x (n + 1)`, and its strict
+/// lower triangle is left unspecified. Bitwise the upper triangle of
+/// [`gram`] of the materialized `[a | 1]`, without building it.
+pub fn gram_augmented_upper(exec: &Executor, a: &[f64], m: usize, n: usize, g: &mut [f64]) {
     debug_assert_eq!(a.len(), m * n);
     debug_assert_eq!(g.len(), (n + 1) * (n + 1));
     exec.note_kernel("kernel.dense.gram");
     atb(exec, Operand::augmented(a, n), None, m, g);
-    mirror_upper(g, n + 1);
 }
 
-/// Outer Gram matrix `g = a * a^T` where `a` is `m x n`, `g` is `m x m`.
+/// Outer Gram matrix `g = a * a^T` where `a` is `m x n`, `g` is `m x m`:
+/// [`gram_t_upper`] with the lower triangle mirrored afterwards.
+pub fn gram_t(exec: &Executor, a: &[f64], m: usize, n: usize, g: &mut [f64]) {
+    gram_t_upper(exec, a, m, n, g);
+    mirror_upper(g, m);
+}
+
+/// The upper triangle, diagonal included, of the outer Gram matrix
+/// `a * a^T`; the strict lower triangle of `g` is not written.
 ///
 /// Row-block-parallel over the upper triangle; each element is a
 /// single-accumulator dot product of two data rows (the historical
-/// order). The lower triangle is mirrored afterwards.
-pub fn gram_t(exec: &Executor, a: &[f64], m: usize, n: usize, g: &mut [f64]) {
+/// order).
+pub fn gram_t_upper(exec: &Executor, a: &[f64], m: usize, n: usize, g: &mut [f64]) {
     exec.note_kernel("kernel.dense.gram_t");
     debug_assert_eq!(a.len(), m * n);
     debug_assert_eq!(g.len(), m * m);
@@ -185,7 +302,6 @@ pub fn gram_t(exec: &Executor, a: &[f64], m: usize, n: usize, g: &mut [f64]) {
             }
         }
     });
-    mirror_upper(g, m);
 }
 
 /// `y = a * x` where `a` is `m x n`; row-parallel single-accumulator dots.
@@ -234,7 +350,7 @@ pub fn matvec_t(exec: &Executor, a: &[f64], m: usize, n: usize, x: &[f64], y: &m
 }
 
 /// Copy the upper triangle of an `n x n` row-major matrix into the lower.
-fn mirror_upper(g: &mut [f64], n: usize) {
+pub fn mirror_upper(g: &mut [f64], n: usize) {
     for i in 1..n {
         for j in 0..i {
             g[i * n + j] = g[j * n + i];
@@ -612,8 +728,9 @@ mod tests {
                 gram(exec, &a, m, k, &mut g);
                 assert_eq!(bits(&g), bits(&want_g), "gram, {what}");
                 let mut ga = vec![f64::NAN; (k + 1) * (k + 1)];
-                gram_augmented(exec, &a, m, k, &mut ga);
-                assert_eq!(bits(&ga), bits(&want_ga), "gram_augmented, {what}");
+                gram_augmented_upper(exec, &a, m, k, &mut ga);
+                mirror_upper(&mut ga, k + 1);
+                assert_eq!(bits(&ga), bits(&want_ga), "gram_augmented_upper, {what}");
                 let mut c = vec![f64::NAN; k * n];
                 gemm_transa(exec, &a, m, k, &b, n, &mut c);
                 assert_eq!(bits(&c), bits(&want_c), "gemm_transa, {what}");
@@ -702,6 +819,36 @@ mod tests {
                 let mut th = vec![0.0; m * n];
                 gemm(&Executor::threaded(t), &a, m, k, &b, n, &mut th);
                 assert_eq!(serial, th, "m={m} k={k} n={n} t={t}");
+            }
+        }
+    }
+
+    #[test]
+    fn symmetric_upper_gemm_is_bitwise_the_full_gemm() {
+        // sizes straddling the shared-dimension tile and the row block
+        for (case, &(k, n)) in [(0, 3), (1, 1), (9, 4), (64, 5), (65, 2), (131, 7)]
+            .iter()
+            .enumerate()
+        {
+            let case = case as u64;
+            let full = {
+                let mut g = rough(k, k, 40 + case, case % 2 == 1);
+                mirror_upper(&mut g, k);
+                g
+            };
+            let b = rough(k, n, 50 + case, false);
+            let diag: Vec<f64> = (0..k).map(|i| full[i * k + i]).collect();
+            // the diagonal and the strict lower triangle must not be read
+            let mut upper = full.clone();
+            for i in 0..k {
+                upper[i * k..i * k + i + 1].fill(f64::NAN);
+            }
+            let mut want = vec![0.0; k * n];
+            gemm(&Executor::serial(), &full, k, k, &b, n, &mut want);
+            for t in [1usize, 2, 5] {
+                let mut got = vec![f64::NAN; k * n];
+                gemm_sym_upper(&Executor::threaded(t), &upper, &diag, &b, n, &mut got);
+                assert_eq!(bits(&got), bits(&want), "k={k} n={n} t={t}");
             }
         }
     }

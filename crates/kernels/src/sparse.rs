@@ -97,8 +97,17 @@ pub fn csr_matmul_dense(exec: &Executor, a: CsrView<'_>, b: &[f64], p: usize, c:
     });
 }
 
-/// Dense outer Gram `G = A·Aᵀ` (`m × m`) by column-accumulated products,
-/// row-block-parallel over the upper triangle (mirrored afterwards).
+/// Dense outer Gram `G = A·Aᵀ` (`m × m`): [`csr_gram_t_upper`] with the
+/// lower triangle mirrored afterwards.
+pub fn csr_gram_t(exec: &Executor, a: CsrView<'_>, g: &mut [f64]) {
+    let m = a.rows;
+    csr_gram_t_upper(exec, a, g);
+    crate::dense::mirror_upper(g, m);
+}
+
+/// The upper triangle, diagonal included, of the dense outer Gram
+/// `G = A·Aᵀ` (`m × m`) by column-accumulated products, row-block-parallel;
+/// the strict lower triangle of `g` is not written.
 ///
 /// A column-major copy of the pattern is built once (O(nnz + cols)). Row
 /// `i` of the upper triangle is then accumulated in place: for each stored
@@ -109,7 +118,7 @@ pub fn csr_matmul_dense(exec: &Executor, a: CsrView<'_>, b: &[f64], p: usize, c:
 /// result is bitwise identical to that merge (stored zeros included), but
 /// the work is `Σ_k nnz(col k)²/2` branch-free updates instead of `m²/2`
 /// row intersections.
-pub fn csr_gram_t(exec: &Executor, a: CsrView<'_>, g: &mut [f64]) {
+pub fn csr_gram_t_upper(exec: &Executor, a: CsrView<'_>, g: &mut [f64]) {
     exec.note_kernel("kernel.csr.gram_t");
     let m = a.rows;
     debug_assert_eq!(g.len(), m * m);
@@ -130,11 +139,6 @@ pub fn csr_gram_t(exec: &Executor, a: CsrView<'_>, g: &mut [f64]) {
             }
         }
     });
-    for i in 1..m {
-        for j in 0..i {
-            g[i * m + j] = g[j * m + i];
-        }
-    }
 }
 
 /// Column-major (CSC) copy of a CSR pattern, rows ascending within each

@@ -4,19 +4,32 @@
 //! paper (§III.C.1) factors `XXᵀ + αI = RᵀR` once (`n³/6` flam) and then
 //! back-solves for every response vector (`cn²` flam). We store the lower
 //! factor `L` with `A = L·Lᵀ`, which is the same object transposed.
+//!
+//! The one factorization body works in place, as LAPACK's `dpotrf` does:
+//! [`Cholesky::factor_in_place`] reads `A` from the strict upper triangle
+//! of an `n × n` buffer plus a separate diagonal and writes `L` over the
+//! lower triangle of that same buffer, so a direct solve holds one `n × n`
+//! matrix, not two. The upper triangle is never written, so after a failed
+//! factorization the buffer can be factored again with a larger diagonal
+//! shift, and after a successful one it still holds `A` for
+//! [`Symmetric`] to read. [`Cholesky::factor`] copies a full matrix into
+//! that layout and zeroes the upper triangle afterwards.
 
 use crate::error::LinalgError;
 use crate::matrix::Mat;
+use crate::symmetric::Symmetric;
 use crate::triangular;
 use crate::{flam, Result};
 
 /// A computed Cholesky factorization `A = L·Lᵀ`.
 #[derive(Debug, Clone)]
 pub struct Cholesky {
+    /// `L` in the lower triangle, diagonal included; above it, zeros
+    /// ([`Cholesky::factor`]) or the strict upper triangle of `A`
+    /// ([`Cholesky::factor_in_place`]).
     l: Mat,
-    /// ‖A‖₁ of the factored matrix, captured at factor time (from the lower
-    /// triangle plus symmetry) so the Hager condition estimate needs no
-    /// access to `A` afterwards.
+    /// ‖A‖₁ of the factored matrix, captured at factor time so the Hager
+    /// condition estimate needs no access to `A` afterwards.
     norm1: f64,
 }
 
@@ -29,6 +42,40 @@ impl Cholesky {
     /// non-positive — for SRDA this never happens when `α > 0` because the
     /// ridge shift makes the Gram matrix strictly positive definite.
     ///
+    /// A thin wrapper over [`factor_in_place`](Self::factor_in_place): the
+    /// lower triangle is copied, transposed, into a fresh buffer, factored
+    /// there, and the buffer's upper triangle is zeroed, so [`l`](Self::l)
+    /// is a clean lower-triangular matrix. The factor, `‖A‖₁` and any
+    /// pivot failure are those of the in-place body.
+    pub fn factor(a: &Mat) -> Result<Self> {
+        let n = a.nrows();
+        let mut upper = Mat::zeros(n, a.ncols());
+        if a.is_square() {
+            for j in 0..n {
+                for (i, u) in upper.row_mut(j).iter_mut().enumerate().skip(j + 1) {
+                    *u = a[(i, j)];
+                }
+            }
+        }
+        let mut chol = Self::factor_in_place(upper, &a.diag()).map_err(|(e, _)| e)?;
+        for i in 0..n {
+            chol.l.row_mut(i)[i + 1..].fill(0.0);
+        }
+        Ok(chol)
+    }
+
+    /// Factor the symmetric positive-definite `A` whose strict upper
+    /// triangle is that of `a` and whose diagonal is `diag`, writing `L`
+    /// over the lower triangle of `a`, diagonal included.
+    ///
+    /// The strict upper triangle of `a` is read and never written, and
+    /// `a`'s diagonal and strict lower triangle are never read: on success
+    /// the returned factor owns `a` with `A` still above `L`
+    /// ([`Symmetric::upper`] of [`l`](Self::l) and `diag` reads it back,
+    /// [`into_storage`](Self::into_storage) returns the buffer); on failure
+    /// `a` comes back beside the error with its upper triangle intact,
+    /// ready to be factored again with another diagonal.
+    ///
     /// Each entry is the dot-product recurrence
     /// `l_ij = (a_ij − Σ_{k<j} l_ik·l_jk) / l_jj`, summed in ascending `k`,
     /// and the factor and any pivot failure are bitwise those of the plain
@@ -37,44 +84,58 @@ impl Cholesky {
     /// (see `factor_lower`), which keeps the `n³/6` flam but lets the
     /// chains overlap instead of running one serial subtract chain per
     /// entry.
-    pub fn factor(a: &Mat) -> Result<Self> {
+    pub fn factor_in_place(
+        mut a: Mat,
+        diag: &[f64],
+    ) -> std::result::Result<Self, (LinalgError, Mat)> {
         #[cfg(feature = "failpoints")]
         if crate::failpoint::should_fail("cholesky.singular") {
-            return Err(LinalgError::NotPositiveDefinite {
+            let e = LinalgError::NotPositiveDefinite {
                 pivot: 0,
                 value: -1.0,
-            });
+            };
+            return Err((e, a));
         }
         if !a.is_square() {
-            return Err(LinalgError::NotSquare {
+            let e = LinalgError::NotSquare {
                 rows: a.nrows(),
                 cols: a.ncols(),
-            });
+            };
+            return Err((e, a));
         }
         let n = a.nrows();
-        flam::add((n * n * n / 6) as u64);
-        // ‖A‖₁ from the lower triangle + symmetry (the strict upper triangle
-        // may be stale, so it must not be read): column j collects |a_ij| for
-        // i ≥ j directly and |a_ij| for i < j via its mirror a_ji.
-        let mut col_sums = vec![0.0f64; n];
-        for i in 0..n {
-            let row = a.row(i);
-            for j in 0..=i {
-                let v = row[j].abs();
-                col_sums[j] += v;
-                if i != j {
-                    col_sums[i] += v;
-                }
-            }
+        if diag.len() != n {
+            let e = LinalgError::ShapeMismatch {
+                op: "cholesky factor_in_place",
+                lhs: a.shape(),
+                rhs: (diag.len(), 1),
+            };
+            return Err((e, a));
         }
-        let norm1 = col_sums.iter().fold(0.0f64, |m, &v| m.max(v));
-        let l = factor_lower(a)?;
-        Ok(Cholesky { l, norm1 })
+        flam::add((n * n * n / 6) as u64);
+        // ‖A‖₁ = ‖A‖∞: column j's terms in ascending row order
+        let norm1 = Symmetric::upper(&a, diag)
+            .abs_row_sums()
+            .into_iter()
+            .fold(0.0f64, f64::max);
+        match factor_lower(&mut a, diag) {
+            Ok(()) => Ok(Cholesky { l: a, norm1 }),
+            Err(e) => Err((e, a)),
+        }
     }
 
-    /// The lower-triangular factor `L`.
+    /// The lower-triangular factor `L`, in the lower triangle of the
+    /// returned matrix. Above the diagonal it holds zeros after
+    /// [`factor`](Self::factor) and the factored matrix's strict upper
+    /// triangle after [`factor_in_place`](Self::factor_in_place).
     pub fn l(&self) -> &Mat {
         &self.l
+    }
+
+    /// The buffer holding `L`, giving up the factorization (see
+    /// [`l`](Self::l) for what lies above `L`).
+    pub fn into_storage(self) -> Mat {
+        self.l
     }
 
     /// Dimension of the factored matrix.
@@ -329,7 +390,8 @@ fn backward_rows<const R: usize>(l: &Mat, w: &mut [[f64; SOLVE_COLS]], lanes: us
 /// Rows of `L` computed together by [`factor_lower`].
 const ROW_TILE: usize = 8;
 
-/// The lower Cholesky factor of `a` (lower triangle read only).
+/// Write the lower Cholesky factor of `A` over the lower triangle of `a`,
+/// where `A`'s strict upper triangle is `a`'s and its diagonal is `diag`.
 ///
 /// Every entry is the textbook dot-product (Cholesky–Crout) recurrence
 /// `l_ij = (a_ij − Σ_{k<j} l_ik·l_jk) / l_jj`, with the sum subtracted in
@@ -342,28 +404,34 @@ const ROW_TILE: usize = 8;
 /// packed copy of the tile's rows. Each `l_jk` load then feeds eight chains
 /// and the chains overlap in the pipeline, where the plain loop runs one
 /// serial subtract chain per entry. The diagonal block and the last
-/// `n mod 8` rows use the plain loop.
-fn factor_lower(a: &Mat) -> Result<Mat> {
+/// `n mod 8` rows use the plain loop. `a_ij` (`i > j`) is read as `a[j][i]`,
+/// which no step writes.
+fn factor_lower(a: &mut Mat, diag: &[f64]) -> Result<()> {
     let n = a.nrows();
-    let mut l = Mat::zeros(n, n);
     // panel[k·ROW_TILE + t] = l_{i0+t, k}: the tile's finished columns,
     // interleaved so one k is one contiguous load.
     let mut panel = vec![0.0; ROW_TILE * n];
     let tiled = n - n % ROW_TILE;
     for i0 in (0..tiled).step_by(ROW_TILE) {
-        let (done, rest) = l.as_mut_slice().split_at_mut(i0 * n);
+        // rows above the tile: L left of their diagonal, A right of it
+        let (done, rest) = a.as_mut_slice().split_at_mut(i0 * n);
         let mut put = |j: usize, col: [f64; ROW_TILE], panel: &mut [f64]| {
             for (t, &v) in col.iter().enumerate() {
                 rest[t * n + j] = v;
                 panel[j * ROW_TILE + t] = v;
             }
         };
-        let a_col = |j: usize| std::array::from_fn(|t| a[(i0 + t, j)]);
+        // a_{i0+t, j} for j < i0, from the upper triangle of row j
+        let a_col = |j: usize| -> [f64; ROW_TILE] {
+            done[j * n + i0..j * n + i0 + ROW_TILE]
+                .try_into()
+                .expect("a tile is ROW_TILE wide")
+        };
         // i0 is a multiple of the (even) tile height, so the columns left
         // of the tile pair up exactly
         for j in (0..i0).step_by(2) {
             let (r0, r1) = (&done[j * n..], &done[(j + 1) * n..]);
-            let (mut c0, mut c1): ([f64; ROW_TILE], [f64; ROW_TILE]) = (a_col(j), a_col(j + 1));
+            let (mut c0, mut c1) = (a_col(j), a_col(j + 1));
             for (k, pk) in panel[..j * ROW_TILE].chunks_exact(ROW_TILE).enumerate() {
                 let (x0, x1) = (r0[k], r1[k]);
                 for t in 0..ROW_TILE {
@@ -381,23 +449,24 @@ fn factor_lower(a: &Mat) -> Result<Mat> {
         }
         for i in i0..i0 + ROW_TILE {
             for j in i0..=i {
-                place_entry(a, &mut l, i, j)?;
+                place_entry(a, diag, i, j)?;
             }
         }
     }
     for i in tiled..n {
         for j in 0..=i {
-            place_entry(a, &mut l, i, j)?;
+            place_entry(a, diag, i, j)?;
         }
     }
-    Ok(l)
+    Ok(())
 }
 
-/// One step of the plain row-by-row loop: `l_ij` from the finished
-/// prefixes of rows `i` and `j`, with the pivot check on the diagonal.
-fn place_entry(a: &Mat, l: &mut Mat, i: usize, j: usize) -> Result<()> {
-    let mut acc = a[(i, j)];
-    let (ri, rj) = (l.row(i), l.row(j));
+/// One step of the plain row-by-row loop: `l_ij` from `a_ij` and the
+/// finished prefixes of rows `i` and `j`, with the pivot check on the
+/// diagonal.
+fn place_entry(a: &mut Mat, diag: &[f64], i: usize, j: usize) -> Result<()> {
+    let mut acc = if i == j { diag[i] } else { a[(j, i)] };
+    let (ri, rj) = (a.row(i), a.row(j));
     for k in 0..j {
         acc -= ri[k] * rj[k];
     }
@@ -408,9 +477,9 @@ fn place_entry(a: &Mat, l: &mut Mat, i: usize, j: usize) -> Result<()> {
                 value: acc,
             });
         }
-        l[(i, i)] = acc.sqrt();
+        a[(i, i)] = acc.sqrt();
     } else {
-        l[(i, j)] = acc / l[(j, j)];
+        a[(i, j)] = acc / a[(j, j)];
     }
     Ok(())
 }
@@ -428,17 +497,106 @@ mod tests {
         g
     }
 
-    /// The plain row-by-row dot-product loop, kept as the bitwise oracle
-    /// for the row-tiled [`factor_lower`].
+    /// The plain row-by-row dot-product loop on the lower triangle of `a`
+    /// into a separate `L`, kept as the bitwise oracle for the row-tiled,
+    /// in-place [`factor_lower`].
     fn factor_unblocked(a: &Mat) -> Result<Mat> {
         let n = a.nrows();
         let mut l = Mat::zeros(n, n);
         for i in 0..n {
             for j in 0..=i {
-                place_entry(a, &mut l, i, j)?;
+                let mut acc = a[(i, j)];
+                for k in 0..j {
+                    acc -= l[(i, k)] * l[(j, k)];
+                }
+                if i == j {
+                    if acc <= 0.0 || !acc.is_finite() {
+                        return Err(LinalgError::NotPositiveDefinite {
+                            pivot: i,
+                            value: acc,
+                        });
+                    }
+                    l[(i, i)] = acc.sqrt();
+                } else {
+                    l[(i, j)] = acc / l[(j, j)];
+                }
             }
         }
         Ok(l)
+    }
+
+    /// `a` in the in-place layout: its strict upper triangle, with the
+    /// diagonal and strict lower triangle of the buffer poisoned (they
+    /// must not be read), and its diagonal apart.
+    fn upper_storage(a: &Mat) -> (Mat, Vec<f64>) {
+        let n = a.nrows();
+        let buf = Mat::from_fn(n, n, |i, j| if j > i { a[(i, j)] } else { f64::NAN });
+        (buf, a.diag())
+    }
+
+    fn strict_upper_bits(m: &Mat) -> Vec<u64> {
+        let n = m.nrows();
+        (0..n)
+            .flat_map(|i| m.row(i)[i + 1..].iter().map(|v| v.to_bits()))
+            .collect()
+    }
+
+    fn lower_bits(m: &Mat) -> Vec<u64> {
+        (0..m.nrows())
+            .flat_map(|i| m.row(i)[..=i].iter().map(|v| v.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn in_place_factor_is_bitwise_the_allocating_factor_in_the_same_buffer() {
+        // every ragged last row tile, and sizes past a few whole tiles
+        let sizes = (0..40).chain([63, 64, 65, 66, 67, 129, 130]);
+        for (seed, n) in sizes.enumerate() {
+            let a = rough_spd(n, seed as u64 + 1);
+            let want = Cholesky::factor(&a).unwrap();
+            let (buf, diag) = upper_storage(&a);
+            let (ptr, upper) = (buf.as_slice().as_ptr(), strict_upper_bits(&buf));
+            let (got, flam) = flam::measure(|| Cholesky::factor_in_place(buf, &diag).unwrap());
+            assert_eq!(lower_bits(got.l()), lower_bits(want.l()), "n = {n}");
+            assert_eq!(strict_upper_bits(got.l()), upper, "upper written, n = {n}");
+            assert_eq!(got.norm1.to_bits(), want.norm1.to_bits(), "n = {n}");
+            assert_eq!(flam, (n * n * n / 6) as u64);
+            // no copy: the factor lives in the buffer it was given
+            assert_eq!(got.into_storage().as_slice().as_ptr(), ptr);
+        }
+    }
+
+    #[test]
+    fn in_place_factor_fails_like_factor_and_refactors_from_an_untouched_upper() {
+        for n in [5usize, 8, 11, 23, 37] {
+            for bad in 0..n {
+                let mut a = rough_spd(n, 200 + bad as u64);
+                let shift = a[(bad, bad)] * 2.0;
+                a[(bad, bad)] -= shift;
+                let want = Cholesky::factor(&a).unwrap_err();
+                let (buf, mut diag) = upper_storage(&a);
+                let (ptr, upper) = (buf.as_slice().as_ptr(), strict_upper_bits(&buf));
+                let (got, buf) = Cholesky::factor_in_place(buf, &diag).unwrap_err();
+                assert_eq!(
+                    format!("{got:?}"),
+                    format!("{want:?}"),
+                    "n = {n}, bad = {bad}"
+                );
+                assert_eq!(strict_upper_bits(&buf), upper);
+                assert_eq!(buf.as_slice().as_ptr(), ptr);
+                // the retry with the shift restored is the clean factor
+                diag[bad] += shift;
+                a[(bad, bad)] += shift;
+                let again = Cholesky::factor_in_place(buf, &diag).unwrap();
+                let fresh = Cholesky::factor(&a).unwrap();
+                assert_eq!(lower_bits(again.l()), lower_bits(fresh.l()));
+                assert_eq!(again.norm1.to_bits(), fresh.norm1.to_bits());
+            }
+        }
+        let (buf, diag) = upper_storage(&rough_spd(4, 3));
+        let (err, _) = Cholesky::factor_in_place(buf, &diag[..3]).unwrap_err();
+        assert!(matches!(err, LinalgError::ShapeMismatch { .. }));
+        assert!(Cholesky::factor_in_place(Mat::zeros(2, 3), &[1.0, 1.0]).is_err());
     }
 
     /// SPD matrix with a wide, irregular spectrum, so rounding differs

@@ -4,8 +4,10 @@
 //! carry none of this code. A failpoint is a named site in a fallible
 //! routine (e.g. `"cholesky.singular"`, `"diskcsr.read"`,
 //! `"lsqr.breakdown"`, `"refine.stagnate"` — force iterative refinement to
-//! report immediate stagnation — and `"cond.inflate"` — inflate the Hager
-//! condition estimate so certification fails) that a test can *arm* to
+//! report immediate stagnation — `"cond.inflate"` — inflate the Hager
+//! condition estimate so certification fails — and `"ridge.weights"` —
+//! poison a direct solve's back-projected weights with a NaN) that a test
+//! can *arm* to
 //! fail a fixed number of times, letting recovery paths be driven without
 //! contriving numerically pathological inputs.
 //!

@@ -22,7 +22,9 @@
 //!   one-sided Jacobi as a high-accuracy cross-check.
 //! * [`cholesky`] — SPD factorization used to solve SRDA's regularized
 //!   normal equations (Eqn 18/20 of the paper), with a Hager 1-norm
-//!   condition estimator for solution certification.
+//!   condition estimator for solution certification. It can factor in
+//!   place, over the lower triangle of a buffer whose upper triangle holds
+//!   the matrix, which [`symmetric`] then reads back row by row.
 //! * [`refine`] — backward errors of computed solutions (a proven upper
 //!   bound from one plain residual product, or a compensated estimate) and
 //!   fixed-precision iterative refinement (compensated residuals +
@@ -58,6 +60,7 @@ pub mod qr;
 pub mod refine;
 pub mod stats;
 pub mod svd;
+pub mod symmetric;
 pub mod triangular;
 pub mod tridiagonal;
 pub mod vector;
@@ -68,6 +71,7 @@ pub use error::LinalgError;
 pub use matrix::Mat;
 pub use qr::Qr;
 pub use svd::Svd;
+pub use symmetric::Symmetric;
 
 // Execution backend: re-exported so downstream crates (solvers, core, cli)
 // can name policies without depending on srda-kernels directly.

@@ -117,14 +117,16 @@ pub fn gram_exec(a: &Mat, exec: &Executor) -> Mat {
     g
 }
 
-/// Gram matrix `[A | 1]ᵀ[A | 1]` (`(ncols + 1)²`) on the given executor.
-/// Bitwise, and flam for flam, [`gram_exec`] of the materialized
-/// `[A | 1]` ([`Mat::append_constant_col`]), which it never builds.
-pub fn gram_augmented_exec(a: &Mat, exec: &Executor) -> Mat {
+/// The upper triangle, diagonal included, of the Gram matrix
+/// `[A | 1]ᵀ[A | 1]` (`(ncols + 1)²`) on the given executor; the strict
+/// lower triangle is unspecified. Bitwise, and flam for flam, the upper
+/// triangle of [`gram_exec`] of the materialized `[A | 1]`
+/// ([`Mat::append_constant_col`]), which it never builds.
+pub fn gram_augmented_upper_exec(a: &Mat, exec: &Executor) -> Mat {
     let (m, n) = a.shape();
     flam::add((m * (n + 1) * (n + 2) / 2) as u64);
     let mut g = Mat::zeros(n + 1, n + 1);
-    dense::gram_augmented(exec, a.as_slice(), m, n, g.as_mut_slice());
+    dense::gram_augmented_upper(exec, a.as_slice(), m, n, g.as_mut_slice());
     g
 }
 
@@ -135,10 +137,18 @@ pub fn gram_t(a: &Mat) -> Mat {
 
 /// Outer Gram matrix `AAᵀ` on the given executor.
 pub fn gram_t_exec(a: &Mat, exec: &Executor) -> Mat {
+    let mut g = gram_t_upper_exec(a, exec);
+    dense::mirror_upper(g.as_mut_slice(), a.nrows());
+    g
+}
+
+/// The upper triangle, diagonal included, of [`gram_t_exec`]; the strict
+/// lower triangle is left zero.
+pub fn gram_t_upper_exec(a: &Mat, exec: &Executor) -> Mat {
     let (m, n) = a.shape();
     flam::add((n * m * (m + 1) / 2) as u64);
     let mut g = Mat::zeros(m, m);
-    dense::gram_t(exec, a.as_slice(), m, n, g.as_mut_slice());
+    dense::gram_t_upper(exec, a.as_slice(), m, n, g.as_mut_slice());
     g
 }
 
@@ -373,8 +383,10 @@ mod tests {
         // `[A | 1]` does
         let xa = a.append_constant_col(1.0);
         let (want, want_flam) = crate::flam::measure(|| gram_exec(&xa, &exec));
-        let (got, flam) = crate::flam::measure(|| gram_augmented_exec(&a, &exec));
-        assert!(got.approx_eq(&want, 0.0));
+        let (got, flam) = crate::flam::measure(|| gram_augmented_upper_exec(&a, &exec));
+        for i in 0..want.nrows() {
+            assert_eq!(got.row(i)[i..], want.row(i)[i..], "row {i}");
+        }
         assert_eq!(flam, want_flam);
         let (want, want_flam) =
             crate::flam::measure(|| matmul_transa_exec(&xa, &b, &exec).unwrap());

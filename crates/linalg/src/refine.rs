@@ -36,11 +36,16 @@
 //! (the `xPORFS` approach; Higham §7.1), with a fraction of the
 //! compensated residual's arithmetic: two flops per term instead of more
 //! than a dozen.
+//!
+//! Every routine here takes its matrix as a [`Symmetric`]: a full `&Mat`,
+//! or the upper storage that [`Cholesky::factor_in_place`] leaves above the
+//! factor it writes. Both read the same rows in the same order, so they
+//! give the same bits.
 
 use crate::cholesky::Cholesky;
 use crate::error::LinalgError;
 use crate::matrix::Mat;
-use crate::ops::matmul_exec;
+use crate::symmetric::Symmetric;
 use crate::{flam, Result};
 use srda_kernels::Executor;
 
@@ -69,8 +74,10 @@ pub struct RefineReport {
 /// perturbation `(ΔA, Δb)` for which `x` solves `(A+ΔA)·x = b+Δb` exactly.
 /// A backward-stable solve keeps it near machine epsilon regardless of
 /// conditioning; values far above that mean the *solve itself* misbehaved.
-/// Reads the full matrix `a` (both triangles must be valid).
-pub fn backward_error(a: &Mat, b: &[f64], x: &[f64]) -> f64 {
+/// A full `a` must have both triangles valid; upper storage
+/// ([`Symmetric::Upper`]) gives the same bits.
+pub fn backward_error<'a>(a: impl Into<Symmetric<'a>>, b: &[f64], x: &[f64]) -> f64 {
+    let a = a.into();
     let mut r_inf = 0.0f64;
     residual_rows(a, b, x, 1, |_, r| r_inf = max_nan(r_inf, r[0].abs()));
     eta(a_inf_norm(a), r_inf, inf_norm(x), inf_norm(b))
@@ -83,9 +90,10 @@ pub fn backward_error(a: &Mat, b: &[f64], x: &[f64]) -> f64 {
 /// column alone: every residual entry is the same compensated sum, over
 /// `j` in the same ascending order, and `‖A‖∞` is computed once instead of
 /// once per column.
-pub fn backward_errors(a: &Mat, b: &Mat, x: &Mat) -> Result<Vec<f64>> {
-    let n = a.nrows();
-    if !a.is_square() || b.shape() != x.shape() || b.nrows() != n {
+pub fn backward_errors<'a>(a: impl Into<Symmetric<'a>>, b: &Mat, x: &Mat) -> Result<Vec<f64>> {
+    let a = a.into();
+    let n = a.shape().0;
+    if a.shape() != (n, n) || b.shape() != x.shape() || b.nrows() != n {
         return Err(LinalgError::ShapeMismatch {
             op: "backward_errors",
             lhs: a.shape(),
@@ -158,9 +166,15 @@ pub fn backward_errors(a: &Mat, b: &Mat, x: &Mat) -> Result<Vec<f64>> {
 /// division, which step 6 charges at the largest `ρ` they can meet. Where
 /// `η` matters (`ρ ≪ 1`) those are negligible, and `η̄ ≈ ρ + γ̄` exceeds
 /// the compensated `η` by about `2nu`.
-pub fn backward_error_bounds(a: &Mat, b: &Mat, x: &Mat, exec: &Executor) -> Result<Vec<f64>> {
-    let n = a.nrows();
-    if !a.is_square() || b.shape() != x.shape() || b.nrows() != n {
+pub fn backward_error_bounds<'a>(
+    a: impl Into<Symmetric<'a>>,
+    b: &Mat,
+    x: &Mat,
+    exec: &Executor,
+) -> Result<Vec<f64>> {
+    let a = a.into();
+    let n = a.shape().0;
+    if a.shape() != (n, n) || b.shape() != x.shape() || b.nrows() != n {
         return Err(LinalgError::ShapeMismatch {
             op: "backward_error_bounds",
             lhs: a.shape(),
@@ -171,7 +185,7 @@ pub fn backward_error_bounds(a: &Mat, b: &Mat, x: &Mat, exec: &Executor) -> Resu
     if k == 0 {
         return Ok(Vec::new());
     }
-    let ax = matmul_exec(a, x, exec)?;
+    let ax = a.matmul_exec(x, exec)?;
     let mut r_inf = vec![0.0f64; k];
     let rows = b
         .as_slice()
@@ -212,24 +226,25 @@ const MIN_BOUND_SCALE: f64 = f64::MIN_POSITIVE / f64::EPSILON;
 /// jittered factor still contracts as long as the factor is a reasonable
 /// preconditioner for `A`).
 ///
-/// `a` must be the *full* symmetric matrix (both triangles valid), unlike
-/// [`Cholesky::factor`] which reads only the lower triangle. On return `x`
-/// holds the best iterate seen — the backward error of the output is never
-/// worse than that of the input, even when refinement stagnates or
-/// diverges (the loop tracks and restores the best candidate).
-pub fn refine_solve(
+/// A full `a` must have both triangles valid, unlike [`Cholesky::factor`]
+/// which reads only the lower triangle. Upper storage
+/// ([`Symmetric::Upper`]) is read only above its diagonal, like
+/// [`Cholesky::factor_in_place`], so `chol` may be the factor written over
+/// its lower triangle. On return `x` holds the best iterate seen — the
+/// backward error of the output is never worse than that of the input,
+/// even when refinement stagnates or diverges (the loop tracks and
+/// restores the best candidate).
+pub fn refine_solve<'a>(
     chol: &Cholesky,
-    a: &Mat,
+    a: impl Into<Symmetric<'a>>,
     b: &[f64],
     x: &mut [f64],
     max_steps: usize,
 ) -> Result<RefineReport> {
-    let n = a.nrows();
-    if !a.is_square() {
-        return Err(LinalgError::NotSquare {
-            rows: a.nrows(),
-            cols: a.ncols(),
-        });
+    let a = a.into();
+    let (n, cols) = a.shape();
+    if n != cols {
+        return Err(LinalgError::NotSquare { rows: n, cols });
     }
     if b.len() != n || x.len() != n || chol.dim() != n {
         return Err(LinalgError::ShapeMismatch {
@@ -309,13 +324,8 @@ pub fn refine_solve(
 }
 
 /// `‖A‖∞` (max absolute row sum).
-fn a_inf_norm(a: &Mat) -> f64 {
-    let mut best = 0.0f64;
-    for i in 0..a.nrows() {
-        let s: f64 = a.row(i).iter().map(|v| v.abs()).sum();
-        best = max_nan(best, s);
-    }
-    best
+fn a_inf_norm(a: Symmetric<'_>) -> f64 {
+    a.abs_row_sums().into_iter().fold(0.0f64, max_nan)
 }
 
 /// `‖v‖∞`, folded in order with [`max_nan`]: NaN if any entry is NaN.
@@ -390,8 +400,14 @@ fn split(v: f64) -> (f64, f64) {
 /// each product error is Dekker's two-product — exact, so bitwise the
 /// `mul_add` error. Otherwise it is `mul_add`. The high halves of `X`'s
 /// splits are kept (`n × k`); the low halves are recomputed as `x − hi`.
-fn residual_rows(a: &Mat, b: &[f64], x: &[f64], k: usize, mut out: impl FnMut(usize, &[f64])) {
-    let n = a.nrows();
+fn residual_rows(
+    a: Symmetric<'_>,
+    b: &[f64],
+    x: &[f64],
+    k: usize,
+    mut out: impl FnMut(usize, &[f64]),
+) {
+    let n = a.shape().0;
     debug_assert!(b.len() == n * k && x.len() == n * k);
     flam::add((k * n * n) as u64);
     // A split of row i pays off only when several columns share it.
@@ -402,8 +418,9 @@ fn residual_rows(a: &Mat, b: &[f64], x: &[f64], k: usize, mut out: impl FnMut(us
     };
     let (mut ah, mut al) = (vec![0.0; n], vec![0.0; n]);
     let mut ri = vec![0.0; k];
+    let mut scratch = Vec::new();
     for i in 0..n {
-        let a_row = a.row(i);
+        let a_row = a.row(i, &mut scratch);
         let exact = x_exact && a_row.iter().all(|&v| splittable(v));
         if exact {
             for (j, &aij) in a_row.iter().enumerate() {
@@ -559,7 +576,7 @@ mod tests {
     fn assert_residuals_match(a: &Mat, b: &Mat, x: &Mat, what: &str) {
         let (n, k) = b.shape();
         let mut r = vec![0.0; n * k];
-        residual_rows(a, b.as_slice(), x.as_slice(), k, |i, ri| {
+        residual_rows(a.into(), b.as_slice(), x.as_slice(), k, |i, ri| {
             r[i * k..(i + 1) * k].copy_from_slice(ri)
         });
         for j in 0..k {
@@ -726,6 +743,43 @@ mod tests {
             assert!(*bound >= *eta && *bound <= 4.0 * (n + 8) as f64 * f64::EPSILON);
         }
         assert!(backward_error_bounds(&a, &b, &Mat::zeros(n, 2), &Executor::serial()).is_err());
+    }
+
+    #[test]
+    fn upper_storage_certifies_and_refines_bitwise_like_the_full_matrix() {
+        // Hilbert(10) plus a shift: refinement takes several steps
+        let n = 10;
+        let mut a = hilbert(n);
+        a.add_to_diag(1e-12);
+        let x_true = Mat::from_fn(n, 3, |i, j| ((i * 3 + j) as f64 * 0.37).sin());
+        let b = crate::ops::matmul(&a, &x_true).unwrap();
+        let mut x = Cholesky::factor(&a).unwrap().solve_mat(&b).unwrap();
+        // perturbed, so there is something to refine
+        x.as_mut_slice().iter_mut().for_each(|v| *v *= 1.0 + 1e-7);
+        // the in-place layout: factor below, matrix above, diagonal apart
+        let diag = a.diag();
+        let upper = Mat::from_fn(n, n, |i, j| if j > i { a[(i, j)] } else { f64::NAN });
+        let chol = Cholesky::factor_in_place(upper, &diag).unwrap();
+        let sym = Symmetric::upper(chol.l(), &diag);
+        let bits = |v: &[f64]| v.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
+        let exec = Executor::threaded(2);
+        assert_eq!(
+            bits(&backward_error_bounds(sym, &b, &x, &exec).unwrap()),
+            bits(&backward_error_bounds(&a, &b, &x, &exec).unwrap())
+        );
+        assert_eq!(
+            bits(&backward_errors(sym, &b, &x).unwrap()),
+            bits(&backward_errors(&a, &b, &x).unwrap())
+        );
+        let full_chol = Cholesky::factor(&a).unwrap();
+        for j in 0..3 {
+            let (mut xf, mut xu) = (x.col(j), x.col(j));
+            let rf = refine_solve(&full_chol, &a, &b.col(j), &mut xf, 5).unwrap();
+            let ru = refine_solve(&chol, sym, &b.col(j), &mut xu, 5).unwrap();
+            assert!(rf.steps > 0, "column {j} should need refinement");
+            assert_eq!(rf, ru);
+            assert_eq!(bits(&xu), bits(&xf));
+        }
     }
 
     #[test]

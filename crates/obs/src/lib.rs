@@ -348,7 +348,8 @@ mod tests {
     fn solver_trace_reaches_snapshot() {
         let r = Recorder::new_enabled();
         let t = r.solver_trace("fit/response[0]/lsqr").unwrap();
-        t.configure("lsqr", "serial", 1.0);
+        t.set_solver("lsqr", 1.0);
+        t.set_backend("serial");
         t.iteration(1, 0.5, 0.25);
         t.iteration(2, 0.25, 0.125);
         t.governor_check();

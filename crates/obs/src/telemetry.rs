@@ -87,16 +87,6 @@ impl SolverTrace {
         &self.inner.label
     }
 
-    /// Record the solve's static context: solver name (`"lsqr"`),
-    /// execution backend (`"serial"`, `"threaded"`), and the damping
-    /// parameter in effect.
-    pub fn configure(&self, solver: &str, backend: &str, damp: f64) {
-        let mut meta = self.inner.meta.lock().expect("trace meta poisoned");
-        meta.solver = solver.to_string();
-        meta.backend = backend.to_string();
-        meta.damp = damp;
-    }
-
     /// Record the solver name and damping only — called by the solver
     /// itself, which does not know what backend its operator runs on.
     pub fn set_solver(&self, solver: &str, damp: f64) {
@@ -165,7 +155,8 @@ mod tests {
     #[test]
     fn channel_accumulates_in_order() {
         let t = SolverTrace::new("r0".into());
-        t.configure("lsqr", "serial", 0.5);
+        t.set_solver("lsqr", 0.5);
+        t.set_backend("serial");
         for i in 1..=3 {
             t.iteration(i, 1.0 / i as f64, 0.5 / i as f64);
         }

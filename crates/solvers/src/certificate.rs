@@ -31,7 +31,7 @@
 //! [`Suspect`]: CertStatus::Suspect
 
 use crate::operator::LinearOperator;
-use srda_linalg::{refine, vector, Cholesky, Executor, Mat, Result};
+use srda_linalg::{refine, vector, Cholesky, Executor, Mat, Result, Symmetric};
 
 /// Forward-error-bound acceptance threshold for direct solves: a solution
 /// is certified when `cond_estimate × backward_error ≤ CERTIFY_BOUND`,
@@ -135,9 +135,11 @@ pub fn certify_spd_solve(
 /// of the SPD system `G·x = b` for the matching column of `b`: SRDA's
 /// `c − 1` responses certified as one multi-right-hand-side system.
 ///
-/// `g` must be the full matrix that was factored (with any diagonal shift
+/// `g` must be the matrix that was factored (with any diagonal shift
 /// already applied — certificates always describe the system that was
-/// actually solved). `cond_estimate` is computed once per factorization by
+/// actually solved): a full `&Mat`, or the upper storage a
+/// [`Cholesky::factor_in_place`] left above `chol`'s own factor
+/// ([`Symmetric::Upper`]), which gives the same certificates bit for bit. `cond_estimate` is computed once per factorization by
 /// the caller ([`Cholesky::condition_estimate`] costs a handful of O(n²)
 /// solves) and shared across the certificates.
 ///
@@ -162,15 +164,16 @@ pub fn certify_spd_solve(
 /// so the certificates do not depend on `exec`'s thread count. When its
 /// recorder is on, the counters `certify.screened` and
 /// `certify.compensated` count the columns each stage decided.
-pub fn certify_spd_solves(
+pub fn certify_spd_solves<'a>(
     chol: &Cholesky,
-    g: &Mat,
+    g: impl Into<Symmetric<'a>>,
     cond_estimate: f64,
     b: &Mat,
     x: &mut Mat,
     max_refine_steps: usize,
     exec: &Executor,
 ) -> Result<Vec<SolveCertificate>> {
+    let g = g.into();
     let mut certs: Vec<Option<SolveCertificate>> = refine::backward_error_bounds(g, b, x, exec)?
         .into_iter()
         .map(|bound| screened(bound, cond_estimate))
@@ -205,7 +208,7 @@ fn screened(bound: f64, cond_estimate: f64) -> Option<SolveCertificate> {
 /// Refine column `j` of `x` in place and certify the result.
 fn refine_column(
     chol: &Cholesky,
-    g: &Mat,
+    g: Symmetric<'_>,
     cond_estimate: f64,
     b: &Mat,
     x: &mut Mat,
@@ -405,7 +408,7 @@ mod tests {
         (0..etas.len())
             .map(|j| {
                 certified_as_is(etas[j], cond)
-                    .unwrap_or_else(|| refine_column(chol, g, cond, b, x, j, steps).unwrap())
+                    .unwrap_or_else(|| refine_column(chol, g.into(), cond, b, x, j, steps).unwrap())
             })
             .collect()
     }

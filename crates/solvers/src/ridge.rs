@@ -38,13 +38,29 @@
 //! Every step taken is recorded in the [`LadderOutcome`]. The ladder never
 //! loops, and non-retryable errors (shape mismatches, invalid dimensions)
 //! propagate immediately.
+//!
+//! **Memory.** A [`RidgeSystem`] holds one `n × n` buffer, laid out as
+//! LAPACK's `dpotrf` keeps a matrix: the Gram builders write only its
+//! upper triangle, the diagonal is kept apart (each rung shifts a copy),
+//! and [`Cholesky::factor_in_place`] writes `L` over the lower triangle.
+//! The certificates read the Gram matrix back through
+//! [`Symmetric::Upper`], which yields the same rows in the same order as
+//! the mirrored matrix, so factor, weights and certificate bits do not
+//! depend on the layout. That buffer is the whole dense working set of a
+//! direct solve, the figure the memory-budget guard charges, and the
+//! system records its size as the `ridge.working_bytes` gauge. A failed
+//! factorization or certification leaves the upper triangle untouched for
+//! the next rung. A dual form releases the buffer before it back-projects
+//! `W̃ = X̃ᵀU`, so the weights never coexist with it; if those weights are
+//! non-finite, the next rung rebuilds the Gram matrix bitwise.
 
 use crate::certificate::{certify_spd_solves, SolveCertificate};
 use crate::governor::{Interrupt, RunGovernor};
 use srda_linalg::ops::{
-    gram, gram_augmented_exec, gram_t, gram_t_exec, matmul_transa, matmul_transa_augmented_exec,
+    gram, gram_augmented_upper_exec, gram_t, gram_t_upper_exec, matmul_transa,
+    matmul_transa_augmented_exec,
 };
-use srda_linalg::{Cholesky, Executor, LinalgError, Mat, Result};
+use srda_linalg::{Cholesky, Executor, LinalgError, Mat, Result, Symmetric};
 use srda_sparse::{CsrMatrix, GramBudgetExceeded};
 
 /// Jittered re-factorizations before the ladder gives up on direct solves.
@@ -140,13 +156,16 @@ enum BackProjection<'a> {
 /// SRDA's ridge problem `min ‖X̃W − Ȳ‖² + α‖W‖²` (Eqn 19) on
 /// `X̃ = [X | 1]`, in the normal-equation form a direct solve factors.
 ///
-/// The Gram matrix and the right-hand sides are built once; every rung of
-/// [`RidgeSystem::solve_ladder`] only rewrites the diagonal.
+/// The Gram matrix and the right-hand sides are built once, and the whole
+/// solve holds one `n × n` buffer (module docs): every rung of
+/// [`RidgeSystem::solve_ladder`] only shifts the diagonal it factors.
 #[derive(Debug)]
 pub struct RidgeSystem<'a> {
-    /// The Gram matrix, its diagonal shifted by the last rung's loading.
-    gram: Mat,
-    /// The unshifted diagonal of `gram`.
+    /// The one `n × n` buffer: the Gram matrix's strict upper triangle,
+    /// with the last rung's factor below it. `None` once a dual solve has
+    /// released it before back-projecting.
+    buffer: Option<Mat>,
+    /// The unshifted diagonal of the Gram matrix.
     diag: Vec<f64>,
     /// Right-hand sides of the factored system: `X̃ᵀȲ` (primal) or `Ȳ`
     /// (dual).
@@ -171,26 +190,20 @@ impl<'a> RidgeSystem<'a> {
     /// Build the smaller normal-equation form of `X̃ = [X | 1]`, as
     /// [`RidgeSolver::auto`] picks it, reading `X` in place: the primal
     /// Gram `X̃ᵀX̃` and `X̃ᵀȲ` when `n + 1 ≤ m`, with the bias lane added by
-    /// the kernels, else the dual Gram `X̃X̃ᵀ = XXᵀ + 1`. Each entry of
-    /// `XXᵀ` is one ascending dot product, so adding 1 afterwards is
-    /// bitwise the last step of the dot over `X̃`.
+    /// the kernels, else the dual Gram `X̃X̃ᵀ = XXᵀ + 1`. Only the upper
+    /// triangle is built.
     pub fn dense(x: &'a Mat, ybar: &Mat, exec: Executor) -> Result<Self> {
         if x.ncols() < x.nrows() {
             let rhs = matmul_transa_augmented_exec(x, ybar, &exec)?;
             Ok(Self::new(
-                gram_augmented_exec(x, &exec),
+                gram_augmented_upper_exec(x, &exec),
                 rhs,
                 BackProjection::None,
                 exec,
             ))
         } else {
-            let mut g = gram_t_exec(x, &exec);
-            g.as_mut_slice().iter_mut().for_each(|v| *v += 1.0);
-            // count `X̃X̃ᵀ`'s flam, as `gram_t_exec` of `X̃` does: the bias
-            // lane adds one per upper-triangle entry
-            let m = x.nrows();
-            srda_linalg::flam::add((m * (m + 1) / 2) as u64);
-            Ok(Self::new(g, ybar.clone(), BackProjection::Dense(x), exec))
+            let back = BackProjection::Dense(x);
+            Ok(Self::new(back.dual_gram(&exec), ybar.clone(), back, exec))
         }
     }
 
@@ -203,88 +216,97 @@ impl<'a> RidgeSystem<'a> {
         budget_bytes: usize,
         exec: Executor,
     ) -> std::result::Result<Self, GramBudgetExceeded> {
-        let mut k = x.gram_t_dense_checked_exec(budget_bytes, &exec)?;
-        // the bias column's contribution
-        k.as_mut_slice().iter_mut().for_each(|v| *v += 1.0);
+        let mut k = x.gram_t_upper_checked_exec(budget_bytes, &exec)?;
+        add_bias_upper(&mut k);
         Ok(Self::new(k, ybar.clone(), BackProjection::Sparse(x), exec))
     }
 
-    fn new(gram: Mat, rhs: Mat, back: BackProjection<'a>, exec: Executor) -> Self {
-        let diag = (0..gram.nrows()).map(|i| gram[(i, i)]).collect();
+    /// Take the Gram buffer, record its size as the `ridge.working_bytes`
+    /// gauge, and keep its diagonal apart.
+    fn new(buffer: Mat, rhs: Mat, back: BackProjection<'a>, exec: Executor) -> Self {
+        let n = buffer.nrows();
+        exec.recorder()
+            .gauge("ridge.working_bytes", (n * n * size_of::<f64>()) as f64);
         RidgeSystem {
-            gram,
-            diag,
+            diag: buffer.diag(),
+            buffer: Some(buffer),
             rhs,
             back,
             exec,
         }
     }
 
-    /// The first jitter rung's extra diagonal loading: `10α`, or, at
-    /// `α = 0`, `1e-10·max(max|G|, 1)` of the unshifted Gram matrix `G`.
-    fn jitter_base(&self, alpha: f64) -> f64 {
-        if alpha > 0.0 {
-            alpha * JITTER_FACTOR
-        } else {
-            1e-10 * self.gram.max_abs().max(1.0)
+    /// The Gram buffer, rebuilt if a dual solve released it.
+    fn take_buffer(&mut self) -> Mat {
+        match self.buffer.take() {
+            Some(buffer) => buffer,
+            None => self.back.dual_gram(&self.exec),
         }
     }
 
-    /// One rung: set the diagonal to `d + shift` (`d` the unshifted
-    /// diagonal), factor, solve, certify every response with up to three
-    /// refinement steps, and back-project. A Suspect certificate is a
-    /// [`LinalgError::CertificationFailed`] and non-finite weights a
-    /// [`LinalgError::NonFinite`], both retryable.
+    /// The first jitter rung's extra diagonal loading: `10α`, or, at
+    /// `α = 0`, `1e-10·max(max|G|, 1)` of the unshifted Gram matrix `G`.
+    fn jitter_base(&mut self, alpha: f64) -> f64 {
+        if alpha > 0.0 {
+            alpha * JITTER_FACTOR
+        } else {
+            let buffer = self.take_buffer();
+            let max = Symmetric::upper(&buffer, &self.diag).max_abs();
+            self.buffer = Some(buffer);
+            1e-10 * max.max(1.0)
+        }
+    }
+
+    /// One rung: factor the Gram matrix with its diagonal `d + shift` (`d`
+    /// the unshifted diagonal) in place, solve, certify every response
+    /// with up to three refinement steps, and back-project. A Suspect
+    /// certificate is a [`LinalgError::CertificationFailed`] and
+    /// non-finite weights a [`LinalgError::NonFinite`], both retryable.
+    ///
+    /// The buffer outlives every failure before the back-projection, so
+    /// the next rung factors the same upper triangle. A dual form then
+    /// releases it, so the weights `X̃ᵀU` never coexist with the Gram
+    /// matrix; a later rung (after non-finite weights) rebuilds it
+    /// bitwise.
     fn solve(&mut self, shift: f64) -> Result<DirectSolve> {
         let rec = self.exec.recorder();
         let factor_span = srda_obs::span!(rec, "fit/factor");
-        for (i, d) in self.diag.iter().enumerate() {
-            self.gram[(i, i)] = d + shift;
-        }
-        let chol = Cholesky::factor(&self.gram)?;
+        let buffer = self.take_buffer();
+        let shifted: Vec<f64> = self.diag.iter().map(|d| d + shift).collect();
+        let chol = match Cholesky::factor_in_place(buffer, &shifted) {
+            Ok(chol) => chol,
+            Err((e, buffer)) => {
+                self.buffer = Some(buffer);
+                return Err(e);
+            }
+        };
         factor_span.finish();
-        let backsub_span = srda_obs::span!(rec, "fit/backsub");
-        let mut sol = chol.solve_mat(&self.rhs)?;
-        backsub_span.finish();
-        let certify_span = srda_obs::span!(rec, "fit/certify");
-        let cond = chol.condition_estimate();
-        let certificates = certify_spd_solves(
-            &chol,
-            &self.gram,
-            cond,
-            &self.rhs,
-            &mut sol,
-            MAX_REFINE_STEPS,
-            &self.exec,
-        )?;
-        certify_span.finish();
-        // the factor is as large as the Gram matrix: free it before the
-        // back-projection allocates the weights
-        drop(chol);
-        if let Some(bad) = certificates.iter().find(|c| c.is_suspect()) {
-            return Err(LinalgError::CertificationFailed {
-                error_bound: bad.error_bound(),
-            });
+        let solved = self.solve_factored(&chol, &shifted);
+        let buffer = chol.into_storage();
+        let (sol, certificates, cond) = match solved {
+            Ok(solved) => solved,
+            Err(e) => {
+                self.buffer = Some(buffer);
+                return Err(e);
+            }
+        };
+        // the primal solution is the weights; a dual form releases the
+        // buffer before the weights `X̃ᵀU` are allocated
+        match self.back {
+            BackProjection::None => self.buffer = Some(buffer),
+            BackProjection::Dense(_) | BackProjection::Sparse(_) => drop(buffer),
         }
         let _span = srda_obs::span!(rec, "fit/backsub");
-        let weights = match &self.back {
-            BackProjection::None => sol,
-            BackProjection::Dense(x) => matmul_transa_augmented_exec(x, &sol, &self.exec)?,
-            BackProjection::Sparse(x) => {
-                let n = x.ncols();
-                let mut w = Mat::zeros(n + 1, sol.ncols());
-                for j in 0..sol.ncols() {
-                    let uj = sol.col(j);
-                    let wj = x
-                        .matvec_t_exec(&uj, &self.exec)
-                        .expect("U has one row per sample");
-                    for (i, v) in wj.into_iter().enumerate() {
-                        w[(i, j)] = v;
-                    }
-                    w[(n, j)] = uj.iter().sum();
+        let weights = self.back.project(sol, &self.exec)?;
+        #[cfg(feature = "failpoints")]
+        let weights = {
+            let mut weights = weights;
+            if srda_linalg::failpoint::should_fail("ridge.weights") {
+                if let Some(v) = weights.as_mut_slice().first_mut() {
+                    *v = f64::NAN;
                 }
-                w
             }
+            weights
         };
         if !weights.as_slice().iter().all(|v| v.is_finite()) {
             return Err(LinalgError::NonFinite {
@@ -298,6 +320,37 @@ impl<'a> RidgeSystem<'a> {
         })
     }
 
+    /// Solve and certify against a factor written over the Gram buffer,
+    /// whose upper triangle and `shifted` diagonal are the factored matrix.
+    fn solve_factored(
+        &self,
+        chol: &Cholesky,
+        shifted: &[f64],
+    ) -> Result<(Mat, Vec<SolveCertificate>, f64)> {
+        let rec = self.exec.recorder();
+        let backsub_span = srda_obs::span!(rec, "fit/backsub");
+        let mut sol = chol.solve_mat(&self.rhs)?;
+        backsub_span.finish();
+        let certify_span = srda_obs::span!(rec, "fit/certify");
+        let cond = chol.condition_estimate();
+        let certificates = certify_spd_solves(
+            chol,
+            Symmetric::upper(chol.l(), shifted),
+            cond,
+            &self.rhs,
+            &mut sol,
+            MAX_REFINE_STEPS,
+            &self.exec,
+        )?;
+        certify_span.finish();
+        if let Some(bad) = certificates.iter().find(|c| c.is_suspect()) {
+            return Err(LinalgError::CertificationFailed {
+                error_bound: bad.error_bound(),
+            });
+        }
+        Ok((sol, certificates, cond))
+    }
+
     /// Walk rungs 1 and 2 of the ladder (module docs) for ridge `alpha`,
     /// probing `governor` before every factorization.
     pub fn solve_ladder(
@@ -305,15 +358,71 @@ impl<'a> RidgeSystem<'a> {
         alpha: f64,
         governor: Option<&RunGovernor>,
     ) -> Result<LadderOutcome<DirectSolve>> {
+        let base = self.jitter_base(alpha);
         factor_ladder_governed(
             alpha,
-            self.jitter_base(alpha),
+            base,
             MAX_JITTER_RETRIES,
             JITTER_FACTOR,
             "direct solve",
             governor,
             |jitter| self.solve(alpha + jitter),
         )
+    }
+}
+
+impl BackProjection<'_> {
+    /// The weights `W̃` from the solution `sol` of the factored system.
+    fn project(&self, sol: Mat, exec: &Executor) -> Result<Mat> {
+        match self {
+            BackProjection::None => Ok(sol),
+            BackProjection::Dense(x) => matmul_transa_augmented_exec(x, &sol, exec),
+            BackProjection::Sparse(x) => {
+                let n = x.ncols();
+                let mut w = Mat::zeros(n + 1, sol.ncols());
+                for j in 0..sol.ncols() {
+                    let uj = sol.col(j);
+                    let wj = x
+                        .matvec_t_exec(&uj, exec)
+                        .expect("U has one row per sample");
+                    for (i, v) in wj.into_iter().enumerate() {
+                        w[(i, j)] = v;
+                    }
+                    w[(n, j)] = uj.iter().sum();
+                }
+                Ok(w)
+            }
+        }
+    }
+
+    /// The upper triangle of the dual Gram `X̃X̃ᵀ = XXᵀ + 1`. Each entry of
+    /// `XXᵀ` is one ascending dot product, so adding 1 afterwards is
+    /// bitwise the last step of the dot over `X̃`. Deterministic, so a
+    /// rebuild is bitwise the first build.
+    fn dual_gram(&self, exec: &Executor) -> Mat {
+        let mut g = match self {
+            BackProjection::None => unreachable!("the primal form keeps its Gram matrix"),
+            BackProjection::Dense(x) => {
+                // count `X̃X̃ᵀ`'s flam, as `gram_t_exec` of `X̃` does: the
+                // bias lane adds one per upper-triangle entry
+                let m = x.nrows();
+                srda_linalg::flam::add((m * (m + 1) / 2) as u64);
+                gram_t_upper_exec(x, exec)
+            }
+            BackProjection::Sparse(x) => x
+                .gram_t_upper_checked_exec(usize::MAX, exec)
+                .expect("an unlimited budget never declines"),
+        };
+        add_bias_upper(&mut g);
+        g
+    }
+}
+
+/// Add the bias column's contribution, 1, to every entry of the upper
+/// triangle, diagonal included.
+fn add_bias_upper(g: &mut Mat) {
+    for i in 0..g.nrows() {
+        g.row_mut(i)[i..].iter_mut().for_each(|v| *v += 1.0);
     }
 }
 
@@ -635,13 +744,101 @@ mod tests {
     fn jitter_base_scales_with_alpha_or_the_gram_matrix() {
         let x = noise_mat(15, 6);
         let y = Mat::from_fn(15, 1, |i, _| i as f64);
-        let system = RidgeSystem::dense(&x, &y, Executor::serial()).unwrap();
+        let mut system = RidgeSystem::dense(&x, &y, Executor::serial()).unwrap();
         assert_eq!(system.jitter_base(0.01), 0.1);
         // α = 0: 1e-10 of the largest Gram entry, which the bias column
         // makes at least m = 15
         let base = system.jitter_base(0.0);
-        assert_eq!(base, 1e-10 * system.gram.max_abs());
+        assert_eq!(base, 1e-10 * gram(&x.append_constant_col(1.0)).max_abs());
         assert!(base >= 15e-10);
+    }
+
+    #[test]
+    fn the_factor_is_written_over_the_gram_buffer() {
+        // tall → primal, which keeps its buffer after the solve
+        let x = noise_mat(30, 9);
+        let y = Mat::from_fn(30, 2, |i, j| ((i + 5 * j) as f64 * 0.3).sin());
+        let mut system = RidgeSystem::dense(&x, &y, Executor::serial()).unwrap();
+        let ptr = system.buffer.as_ref().unwrap().as_slice().as_ptr();
+        let gram_upper = |m: &Mat| -> Vec<u64> {
+            (0..m.nrows())
+                .flat_map(|i| m.row(i)[i + 1..].iter().map(|v| v.to_bits()))
+                .collect()
+        };
+        let upper = gram_upper(system.buffer.as_ref().unwrap());
+        system.solve_ladder(0.5, None).unwrap().value.unwrap();
+        let buffer = system.buffer.as_ref().unwrap();
+        assert_eq!(buffer.as_slice().as_ptr(), ptr);
+        assert_eq!(gram_upper(buffer), upper);
+    }
+
+    #[test]
+    fn a_retry_after_a_breakdown_is_bitwise_a_fresh_rung() {
+        // an all-zero feature makes the unshifted primal Gram singular, so
+        // the direct rung breaks down part-way through the factor and
+        // leaves a partial L below the Gram matrix
+        let x = noise_mat(20, 5).hcat(&Mat::zeros(20, 1)).unwrap();
+        let y = Mat::from_fn(20, 2, |i, j| ((i * 2 + j) as f64 * 0.41).cos());
+        let out = RidgeSystem::dense(&x, &y, Executor::serial())
+            .unwrap()
+            .solve_ladder(0.0, None)
+            .unwrap();
+        let (solved, jitter) = out.value.expect("a jittered rung factors");
+        assert!(
+            out.warnings[0].contains("not positive definite"),
+            "{:?}",
+            out.warnings
+        );
+        assert_eq!(out.actions, vec![RecoveryAction::JitterRetry { jitter }]);
+        let fresh = RidgeSystem::dense(&x, &y, Executor::serial())
+            .unwrap()
+            .solve(jitter)
+            .unwrap();
+        assert_eq!(bits(&solved.weights), bits(&fresh.weights));
+        assert_eq!(solved.cond.to_bits(), fresh.cond.to_bits());
+        assert_eq!(solved.certificates, fresh.certificates);
+    }
+
+    #[cfg(feature = "failpoints")]
+    #[test]
+    fn non_finite_dual_weights_retry_on_a_rebuilt_gram_matrix() {
+        use srda_linalg::failpoint;
+        // wide → dual, dense and sparse: both release the buffer before
+        // back-projecting, so the retry rebuilds it
+        let x = noise_mat(6, 14);
+        let csr = CsrMatrix::from_dense(&x, 0.0);
+        let y = Mat::from_fn(6, 2, |i, j| ((i * 2 + j) as f64 * 0.41).cos());
+        let alpha = 0.5;
+        let systems = || {
+            [
+                RidgeSystem::dense(&x, &y, Executor::serial()).unwrap(),
+                RidgeSystem::sparse(&csr, &y, usize::MAX, Executor::serial()).unwrap(),
+            ]
+        };
+        for (mut system, mut fresh) in systems().into_iter().zip(systems()) {
+            failpoint::reset();
+            failpoint::arm("ridge.weights", 1);
+            let out = system.solve_ladder(alpha, None).unwrap();
+            assert_eq!(failpoint::fired("ridge.weights"), 1);
+            failpoint::reset();
+            let jitter = alpha * JITTER_FACTOR;
+            assert_eq!(out.actions, vec![RecoveryAction::JitterRetry { jitter }]);
+            let non_finite = LinalgError::NonFinite {
+                context: "ridge solution",
+            };
+            assert_eq!(
+                out.warnings,
+                vec![
+                    format!("direct solve failed (α = {alpha:e}): {non_finite}"),
+                    format!("recovered with diagonal jitter {jitter:e} on retry 1"),
+                ]
+            );
+            let (solved, got) = out.value.unwrap();
+            assert_eq!(got, jitter);
+            let want = fresh.solve(alpha + jitter).unwrap();
+            assert_eq!(bits(&solved.weights), bits(&want.weights));
+            assert_eq!(solved.certificates, want.certificates);
+        }
     }
 
     #[test]

@@ -455,14 +455,28 @@ impl CsrMatrix {
     }
 
     /// Budgeted dense outer Gram on the given executor
-    /// ([`srda_kernels::sparse::csr_gram_t`]). A column-major copy of the
-    /// pattern (O(nnz + cols) extra memory, freed on return) is built
-    /// once; each upper-triangle row `i` then adds `a_ik·a_jk` for the rows
-    /// `j ≥ i` of every column `k` it touches, in ascending `k`. Each entry
-    /// is bitwise the sorted-merge dot of rows `i` and `j`, and the rows
-    /// are block-parallel under the threaded backend with identical
-    /// numerics on every backend.
+    /// ([`srda_kernels::sparse::csr_gram_t`]): the upper triangle of
+    /// [`CsrMatrix::gram_t_upper_checked_exec`], mirrored into the lower.
     pub fn gram_t_dense_checked_exec(
+        &self,
+        budget_bytes: usize,
+        exec: &Executor,
+    ) -> std::result::Result<Mat, GramBudgetExceeded> {
+        let mut g = self.gram_t_upper_checked_exec(budget_bytes, exec)?;
+        srda_kernels::dense::mirror_upper(g.as_mut_slice(), self.rows);
+        Ok(g)
+    }
+
+    /// The upper triangle, diagonal included, of the budgeted dense outer
+    /// Gram ([`srda_kernels::sparse::csr_gram_t_upper`]); the strict lower
+    /// triangle is left zero. The budget is charged the whole `m × m`
+    /// matrix. A column-major copy of the pattern (O(nnz + cols) extra
+    /// memory, freed on return) is built once; each upper-triangle row `i`
+    /// then adds `a_ik·a_jk` for the rows `j ≥ i` of every column `k` it
+    /// touches, in ascending `k`. Each entry is bitwise the sorted-merge
+    /// dot of rows `i` and `j`, and the rows are block-parallel under the
+    /// threaded backend with identical numerics on every backend.
+    pub fn gram_t_upper_checked_exec(
         &self,
         budget_bytes: usize,
         exec: &Executor,
@@ -476,7 +490,7 @@ impl CsrMatrix {
         }
         flam::add((self.rows * self.nnz().max(1)) as u64 / 2);
         let mut g = Mat::zeros(self.rows, self.rows);
-        srda_kernels::sparse::csr_gram_t(exec, self.view(), g.as_mut_slice());
+        srda_kernels::sparse::csr_gram_t_upper(exec, self.view(), g.as_mut_slice());
         Ok(g)
     }
 

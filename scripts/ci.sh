@@ -59,6 +59,26 @@ CARGO_PROFILE_RELEASE_OVERFLOW_CHECKS=true \
 echo "==> cargo test (perfbench, offline)"
 cargo test -q --offline --manifest-path perfbench/Cargo.toml
 
+# Every benchmarked workload (BENCHMARK.json) runs one short timed loop of
+# real fits end to end under the benchmark's own output checks (test error
+# bounds, the disk fit against the in-memory one). The last line perfbench
+# prints is its result object, which must report "correct": true.
+echo "==> perfbench workloads (one short run each, outputs checked)"
+workloads=$(python3 -c 'import json
+print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')
+for workload in $workloads; do
+    echo "    $workload"
+    result=$(python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 1 --trace 0 |
+        tail -n 1)
+    case "$result" in
+        *'"correct": true'*) ;;
+        *)
+            echo "perfbench $workload is not correct: $result" >&2
+            exit 1
+            ;;
+    esac
+done
+
 # Bench smoke: tiny scale, still exercises every kernel and the
 # serial-vs-threaded bitwise check (bench_kernels exits nonzero on any
 # divergence). The full-scale BENCH_kernels.json is produced manually.
