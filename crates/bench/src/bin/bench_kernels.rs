@@ -20,7 +20,12 @@
 //! a fresh buffer, as `naive` against `Cholesky::factor_in_place` on PIE's
 //! primal system, checks the two factors bitwise, and reports the heap
 //! bytes each call allocates beyond its input, counted by this binary's
-//! global allocator.
+//! global allocator. The `dense_gram` and `dense_gemm_transa` rows record
+//! which instantiation of the register-tile kernel ran (`"isa"`:
+//! `"avx2"` or `"baseline"`). `recorder_overhead` compares a disabled
+//! recorder with an enabled one on a fixed 700 × 350 Gram in interleaved
+//! pairs and reports the median per-pair ratio − 1, with its quartiles,
+//! as `rel_delta`.
 //!
 //! Knobs:
 //! * `SRDA_BENCH_THREADS` — thread count for the threaded variant
@@ -30,7 +35,8 @@
 //!   shapes (default 1.0), so CI smoke runs can finish quickly.
 
 use srda::Recorder;
-use srda_linalg::ops::{gram_exec, matmul_exec};
+use srda_kernels::dense::tile_isa;
+use srda_linalg::ops::{gram_exec, matmul_exec, matmul_transa_exec};
 use srda_linalg::{flam, refine, Cholesky, ExecPolicy, Executor, Mat, Symmetric};
 use srda_sparse::{disk, CsrMatrix, DiskCsr};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -145,6 +151,48 @@ fn time_best<R>(reps: usize, mut f: impl FnMut() -> R) -> (f64, R) {
     (best, out)
 }
 
+/// Wall time of one call of `f`, in seconds.
+fn time_once<R>(f: impl FnOnce() -> R) -> f64 {
+    let t = Instant::now();
+    std::hint::black_box(f());
+    t.elapsed().as_secs_f64()
+}
+
+/// Interleaved disabled/enabled pairs of the recorder-overhead probe.
+const OVERHEAD_PAIRS: usize = 25;
+
+/// The recorder-overhead probe's summary.
+struct Overhead {
+    /// median disabled-recorder time, in seconds
+    disabled: f64,
+    /// median enabled-recorder time, in seconds
+    enabled: f64,
+    /// first quartile, median and third quartile of the per-pair
+    /// enabled/disabled ratio − 1
+    rel: [f64; 3],
+}
+
+impl Overhead {
+    /// Summarize `(disabled, enabled)` pairs of times.
+    fn from_pairs(pairs: &[(f64, f64)]) -> Overhead {
+        let quartiles = |mut v: Vec<f64>| {
+            v.sort_by(f64::total_cmp);
+            let n = v.len();
+            [v[n / 4], v[n / 2], v[3 * n / 4]]
+        };
+        Overhead {
+            disabled: quartiles(pairs.iter().map(|p| p.0).collect())[1],
+            enabled: quartiles(pairs.iter().map(|p| p.1).collect())[1],
+            rel: quartiles(
+                pairs
+                    .iter()
+                    .map(|&(off, on)| on / off.max(1e-12) - 1.0)
+                    .collect(),
+            ),
+        }
+    }
+}
+
 struct Row {
     kernel: &'static str,
     shape: String,
@@ -160,6 +208,8 @@ struct Row {
     /// heap bytes one `naive` and one blocked serial call allocate beyond
     /// their input (the factor rows)
     allocated: Option<(u64, u64)>,
+    /// the register-tile instantiation that ran (the `atb` rows)
+    isa: Option<&'static str>,
 }
 
 fn naive_gram(a: &Mat) -> Mat {
@@ -186,6 +236,22 @@ fn naive_matmul(a: &Mat, b: &Mat) -> Mat {
             let mut s = 0.0;
             for p in 0..k {
                 s += a[(i, p)] * b[(p, j)];
+            }
+            c[(i, j)] = s;
+        }
+    }
+    c
+}
+
+fn naive_matmul_transa(a: &Mat, b: &Mat) -> Mat {
+    let (m, k) = a.shape();
+    let n = b.ncols();
+    let mut c = Mat::zeros(k, n);
+    for i in 0..k {
+        for j in 0..n {
+            let mut s = 0.0;
+            for r in 0..m {
+                s += a[(r, i)] * b[(r, j)];
             }
             c[(i, j)] = s;
         }
@@ -333,6 +399,7 @@ fn main() {
             flam: flam::measure(|| gram_exec(&a, &serial)).1,
             nnz: None,
             allocated: None,
+            isa: Some(tile_isa()),
         });
     }
 
@@ -354,6 +421,30 @@ fn main() {
             flam: flam::measure(|| matmul_exec(&a, &b, &serial)).1,
             nnz: None,
             allocated: None,
+            isa: None,
+        });
+    }
+
+    // dense AᵀB: the primal right-hand sides X̃ᵀȲ on PIE's shape, on the
+    // Gram's register tile
+    {
+        let (m, k, n) = (sc(1500), sc(1000), sc(67));
+        let a = dense(m, k, 10);
+        let b = dense(m, n, 11);
+        let (t_naive, c0) = time_best(reps, || naive_matmul_transa(&a, &b));
+        let (t_serial, c1) = time_best(reps, || matmul_transa_exec(&a, &b, &serial).unwrap());
+        let (t_par, c2) = time_best(reps, || matmul_transa_exec(&a, &b, &par).unwrap());
+        rows.push(Row {
+            kernel: "dense_gemm_transa",
+            shape: format!("{m}x{k}x{n}"),
+            naive: t_naive,
+            serial: t_serial,
+            threaded: t_par,
+            identical: c1.as_slice() == c2.as_slice() && c0.shape() == c1.shape(),
+            flam: flam::measure(|| matmul_transa_exec(&a, &b, &serial)).1,
+            nnz: None,
+            allocated: None,
+            isa: Some(tile_isa()),
         });
     }
 
@@ -375,6 +466,7 @@ fn main() {
             flam: flam::measure(|| a.matvec_exec(&x, &serial)).1,
             nnz: Some(a.nnz()),
             allocated: None,
+            isa: None,
         });
     }
 
@@ -397,6 +489,7 @@ fn main() {
             flam: flam::measure(|| a.gram_t_dense_checked_exec(budget, &serial)).1,
             nnz: None,
             allocated: None,
+            isa: None,
         });
     }
 
@@ -431,6 +524,7 @@ fn main() {
             flam: flam::measure(|| chol.solve_mat(&b)).1,
             nnz: None,
             allocated: None,
+            isa: None,
         });
     }
 
@@ -474,6 +568,7 @@ fn main() {
             flam: flam::measure(|| Cholesky::factor_in_place(g.clone(), &diag)).1,
             nnz: None,
             allocated: Some((allocating_bytes, in_place_bytes)),
+            isa: None,
         });
     }
 
@@ -510,6 +605,7 @@ fn main() {
             flam: flam::measure(|| screen(&serial)).1,
             nnz: None,
             allocated: None,
+            isa: None,
         });
     }
 
@@ -544,6 +640,7 @@ fn main() {
             flam,
             nnz: Some(a.nnz()),
             allocated: None,
+            isa: None,
         });
 
         let u: Vec<f64> = (0..m * p).map(|i| noise(13 + i)).collect();
@@ -564,27 +661,49 @@ fn main() {
             flam,
             nnz: Some(a.nnz()),
             allocated: None,
+            isa: None,
         });
         std::fs::remove_file(&path).ok();
     }
 
     // recorder overhead: the same kernel through a disabled-recorder
-    // executor vs an enabled one. Best-of-reps on a mid-size Gram; the
-    // disabled path must be a near-no-op (the <2% CI gate lives in
-    // scripts/ci.sh). Deliberately NOT scaled by SRDA_BENCH_SCALE: a
-    // micro-sized Gram turns the comparison into timer noise, and the
-    // fixed shape costs only ~0.2s.
-    let (ov_disabled, ov_enabled, obs_json) = {
+    // executor and an enabled one, timed in OVERHEAD_PAIRS interleaved
+    // pairs whose two runs swap order every pair, so neither side always
+    // runs second on a warm cache. Each pair gives one enabled/disabled
+    // ratio; rel_delta is the median ratio − 1, with its quartiles. A load
+    // spike on a shared host slows both runs of a pair and cancels in its
+    // ratio, where a best-of-reps per side, taken at different moments,
+    // does not. The disabled path must be a near-no-op (the <2% CI gate
+    // lives in scripts/ci.sh). Deliberately NOT scaled by
+    // SRDA_BENCH_SCALE: a micro-sized Gram turns the comparison into timer
+    // noise, and the fixed shape costs only ~0.2s.
+    let (overhead, obs_json) = {
         let a = dense(700, 350, 9);
         let off = Executor::with_recorder(ExecPolicy::serial(), Recorder::disabled());
         let rec = Recorder::new_enabled();
         let on = Executor::with_recorder(ExecPolicy::serial(), rec);
-        let (t_off, _) = time_best(reps * 2, || gram_exec(&a, &off));
-        let (t_on, _) = time_best(reps * 2, || {
-            let _span = rec.span("bench/gram");
-            gram_exec(&a, &on)
-        });
-        (t_off, t_on, rec.snapshot().to_json())
+        let run_off = || time_once(|| gram_exec(&a, &off));
+        let run_on = || {
+            time_once(|| {
+                let _span = rec.span("bench/gram");
+                gram_exec(&a, &on)
+            })
+        };
+        // one warm-up run of each, untimed
+        run_off();
+        run_on();
+        let pairs: Vec<(f64, f64)> = (0..OVERHEAD_PAIRS)
+            .map(|i| {
+                if i % 2 == 0 {
+                    let t_off = run_off();
+                    (t_off, run_on())
+                } else {
+                    let t_on = run_on();
+                    (run_off(), t_on)
+                }
+            })
+            .collect();
+        (Overhead::from_pairs(&pairs), rec.snapshot().to_json())
     };
 
     // hand-formatted JSON: the format here is trivial
@@ -603,11 +722,14 @@ fn main() {
         let allocated = r.allocated.map_or(String::new(), |(naive, serial)| {
             format!("\"naive_alloc_bytes\": {naive}, \"blocked_serial_alloc_bytes\": {serial}, ")
         });
+        let isa = r
+            .isa
+            .map_or(String::new(), |isa| format!("\"isa\": \"{isa}\", "));
         json.push_str(&format!(
             "    {{\"kernel\": \"{}\", \"shape\": \"{}\", \"naive_s\": {:.6}, \
              \"blocked_serial_s\": {:.6}, \"threaded_s\": {:.6}, \
              \"speedup_blocked_vs_naive\": {:.3}, \"speedup_threaded_vs_serial\": {:.3}, \
-             \"flam\": {}, \"blocked_serial_gflam_per_s\": {:.3}, {}{}\"bitwise_identical\": {}}}{}\n",
+             \"flam\": {}, \"blocked_serial_gflam_per_s\": {:.3}, {}{}{}\"bitwise_identical\": {}}}{}\n",
             r.kernel,
             r.shape,
             r.naive,
@@ -619,17 +741,17 @@ fn main() {
             r.flam as f64 / r.serial.max(1e-12) / 1e9,
             ns_per_nnz,
             allocated,
+            isa,
             r.identical,
             if i + 1 < rows.len() { "," } else { "" },
         ));
     }
     json.push_str("  ],\n");
     json.push_str(&format!(
-        "  \"recorder_overhead\": {{\"disabled_s\": {:.6}, \"enabled_s\": {:.6}, \
-         \"rel_delta\": {:.4}}},\n",
-        ov_disabled,
-        ov_enabled,
-        (ov_enabled - ov_disabled) / ov_disabled.max(1e-12)
+        "  \"recorder_overhead\": {{\"pairs\": {OVERHEAD_PAIRS}, \"disabled_s\": {:.6}, \
+         \"enabled_s\": {:.6}, \"rel_delta\": {:.4}, \"rel_delta_q1\": {:.4}, \
+         \"rel_delta_q3\": {:.4}}},\n",
+        overhead.disabled, overhead.enabled, overhead.rel[1], overhead.rel[0], overhead.rel[2]
     ));
     // the same srda-obs-v1 schema the CLI's --metrics-out emits, from the
     // recorder the enabled-overhead pass ran under
@@ -669,10 +791,13 @@ fn main() {
         }
     }
     println!(
-        "recorder overhead: disabled {:.4}s, enabled {:.4}s ({:+.2}%)",
-        ov_disabled,
-        ov_enabled,
-        (ov_enabled - ov_disabled) / ov_disabled.max(1e-12) * 100.0
+        "recorder overhead: disabled {:.4}s, enabled {:.4}s, median of {OVERHEAD_PAIRS} pairs \
+         {:+.2}% [{:+.2}%, {:+.2}%]",
+        overhead.disabled,
+        overhead.enabled,
+        overhead.rel[1] * 100.0,
+        overhead.rel[0] * 100.0,
+        overhead.rel[2] * 100.0
     );
     if rows.iter().any(|r| !r.identical) {
         eprintln!("error: a kernel diverged from its bitwise reference");

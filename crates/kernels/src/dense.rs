@@ -13,11 +13,31 @@
 //! [`gram`] and [`gemm_transa`] (and their `_augmented` forms, which read
 //! `[a | 1]` without building it) share one register-tile kernel: each
 //! pass packs 256 rows of the right operand into 8-wide column panels and
-//! sweeps 2 × 8 tiles of the output over them, the tile held in locals and
+//! sweeps tiles of the output over them, the tile held in locals and
 //! reloaded from the output between passes, so every entry keeps the
 //! historical ascending-row sum. The threads split the output rows in
-//! whole tiles of near-equal work. The other kernels work in row panels of
-//! 64 rows (the crate's row-block constant).
+//! whole 4-row steps of near-equal work. The other kernels work in row
+//! panels of 64 rows (the crate's row-block constant).
+//!
+//! The tile kernel has two instantiations, and the first call picks one
+//! for the life of the process ([`tile_isa`]):
+//!
+//! * **AVX2**, when `is_x86_feature_detected!("avx2")` reports it: 4 × 8
+//!   tiles, compiled with `#[target_feature(enable = "avx2")]`, whose 32
+//!   sums fill eight 256-bit accumulators.
+//! * **Baseline**, on every other CPU: 2 × 8 tiles at the build's target
+//!   (SSE2 on x86-64), eight 128-bit accumulators. A 4 × 8 tile there
+//!   would spill, and a 2 × 8 tile on AVX2 leaves its adds latency-bound.
+//!
+//! The two give the same bits. The tile shape never changes which
+//! products an entry sums or in what order, and each lane of a vector
+//! multiply or add is one IEEE-754 operation, rounded as the scalar one
+//! would be. `fma` is not enabled, and Rust never contracts `a * b + c`
+//! into a fused multiply-add, so no product skips its rounding. The one
+//! caveat is Rust's: a NaN sum's sign and payload are unspecified, so when
+//! both operands are NaN either may survive. The dispatch module is the
+//! crate's only `unsafe` code: one call of the AVX2 instantiation, right
+//! after the feature check.
 
 use crate::Executor;
 use std::ops::Range;
@@ -186,7 +206,14 @@ pub fn gemm_transa(
     debug_assert_eq!(b.len(), m * n);
     debug_assert_eq!(c.len(), k * n);
     exec.note_kernel("kernel.dense.gemm_transa");
-    atb(exec, Operand::plain(a, k), Some(Operand::plain(b, n)), m, c);
+    atb(
+        exec,
+        Operand::plain(a, k),
+        Some(Operand::plain(b, n)),
+        m,
+        c,
+        TilePath::Host,
+    );
 }
 
 /// [`gemm_transa`] of the bias-augmented `[a | 1]`: `c` is `(k + 1) x n`
@@ -211,6 +238,7 @@ pub fn gemm_transa_augmented(
         Some(Operand::plain(b, n)),
         m,
         c,
+        TilePath::Host,
     );
 }
 
@@ -256,7 +284,7 @@ pub fn gram(exec: &Executor, a: &[f64], m: usize, n: usize, g: &mut [f64]) {
     debug_assert_eq!(a.len(), m * n);
     debug_assert_eq!(g.len(), n * n);
     exec.note_kernel("kernel.dense.gram");
-    atb(exec, Operand::plain(a, n), None, m, g);
+    atb(exec, Operand::plain(a, n), None, m, g, TilePath::Host);
     mirror_upper(g, n);
 }
 
@@ -268,7 +296,7 @@ pub fn gram_augmented_upper(exec: &Executor, a: &[f64], m: usize, n: usize, g: &
     debug_assert_eq!(a.len(), m * n);
     debug_assert_eq!(g.len(), (n + 1) * (n + 1));
     exec.note_kernel("kernel.dense.gram");
-    atb(exec, Operand::augmented(a, n), None, m, g);
+    atb(exec, Operand::augmented(a, n), None, m, g, TilePath::Host);
 }
 
 /// Outer Gram matrix `g = a * a^T` where `a` is `m x n`, `g` is `m x m`:
@@ -360,10 +388,80 @@ pub fn mirror_upper(g: &mut [f64], n: usize) {
 
 /// Rows of the shared dimension packed per pass of [`atb`].
 const CHUNK_ROWS: usize = 256;
-/// Rows of `c` in one register tile.
-const MR: usize = 2;
 /// Columns of `c` in one register tile: the width of a packed panel.
 const NR: usize = 8;
+/// Rows of `c` in one register tile of the baseline instantiation.
+const MR_BASELINE: usize = 2;
+/// Rows of `c` in one register tile of the AVX2 instantiation.
+const MR_AVX2: usize = 4;
+/// Thread spans of [`atb`] start on multiples of this many rows: the
+/// larger tile height, so both instantiations share one span plan.
+const SPAN_ROWS: usize = MR_AVX2;
+
+/// Which instantiation of [`atb`]'s register tile may run.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum TilePath {
+    /// The 2 × 8 tile at the build's baseline instruction set, which only
+    /// the tests force on a CPU with AVX2.
+    #[cfg_attr(not(test), allow(dead_code))]
+    Baseline,
+    /// The widest instantiation this CPU runs: the 4 × 8 AVX2 tile when
+    /// the CPU has AVX2, else the baseline.
+    Host,
+}
+
+/// The instantiation of the register-tile kernel behind [`gram`],
+/// [`gram_augmented_upper`], [`gemm_transa`] and
+/// [`gemm_transa_augmented`] on this CPU: `"avx2"` or `"baseline"`.
+pub fn tile_isa() -> &'static str {
+    if dispatch::has_avx2() {
+        "avx2"
+    } else {
+        "baseline"
+    }
+}
+
+/// The run-time choice between the two instantiations of [`atb`]'s span
+/// kernel: the crate's one `unsafe` call.
+#[allow(unsafe_code)]
+mod dispatch {
+    use super::{Atb, TilePath, MR_BASELINE};
+
+    /// Whether this CPU runs AVX2, detected on the first call.
+    pub(super) fn has_avx2() -> bool {
+        static AVX2: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+        *AVX2.get_or_init(|| {
+            #[cfg(target_arch = "x86_64")]
+            if std::is_x86_feature_detected!("avx2") {
+                return true;
+            }
+            false
+        })
+    }
+
+    /// [`Atb::span`] on `path`'s instantiation.
+    pub(super) fn span(path: TilePath, job: &Atb<'_>, first: usize, out: &mut [f64]) {
+        match path {
+            #[cfg(target_arch = "x86_64")]
+            TilePath::Host if has_avx2() => {
+                // SAFETY: `span_avx2` requires only the `avx2` target
+                // feature, and `has_avx2` has just seen
+                // `is_x86_feature_detected!("avx2")` report it on this CPU.
+                unsafe { span_avx2(job, first, out) }
+            }
+            _ => job.span::<MR_BASELINE>(first, out),
+        }
+    }
+
+    /// [`Atb::span`] with the 4 × 8 tile, compiled for AVX2: eight `ymm`
+    /// accumulators. `fma` stays off, and Rust never contracts a multiply
+    /// and an add, so each product and sum is still one IEEE operation.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn span_avx2(job: &Atb<'_>, first: usize, out: &mut [f64]) {
+        job.span::<{ super::MR_AVX2 }>(first, out);
+    }
+}
 
 /// A row-major matrix with `cols` columns, read as `[data | 1]` when
 /// `ones` is set.
@@ -418,20 +516,57 @@ impl<'a> Operand<'a> {
 /// tiles that touch the upper triangle are computed (the rest of `c` is
 /// left `0.0`), and `a`'s columns are read from `b`'s packed panels.
 ///
-/// Each pass packs [`CHUNK_ROWS`] rows of `b` into [`NR`]-wide column
-/// panels, then sweeps every [`MR`] × [`NR`] tile of `c` over them with
-/// the tile held in locals, reloading it from `c` between passes. So every
-/// entry is `+0.0` plus `a[r][i]·b[r][j]` over ascending `r`, whatever the
-/// tile shape, chunk length or thread count. The threads split the rows
-/// of `c` in whole tiles of near-equal work ([`span_ends`]), and each
-/// packs its own panels.
-fn atb(exec: &Executor, a: Operand<'_>, b: Option<Operand<'_>>, m: usize, c: &mut [f64]) {
+/// The threads split the rows of `c` at [`span_ends`], and each span runs
+/// [`Atb::span`] on the tile `path` picks (module docs).
+fn atb(
+    exec: &Executor,
+    a: Operand<'_>,
+    b: Option<Operand<'_>>,
+    m: usize,
+    c: &mut [f64],
+    path: TilePath,
+) {
     let upper = b.is_none();
-    let b = b.unwrap_or(a);
-    let nb = b.width();
+    let job = Atb {
+        a,
+        b: b.unwrap_or(a),
+        m,
+        upper,
+    };
+    let nb = job.b.width();
     let ends = span_ends(a.width(), nb, upper, exec.threads());
-    let panels = nb.div_ceil(NR);
     exec.for_each_row_span(c, nb, &ends, |first, span| {
+        dispatch::span(path, &job, first, span);
+    });
+}
+
+/// One [`atb`] product, shared by its thread spans.
+struct Atb<'a> {
+    a: Operand<'a>,
+    b: Operand<'a>,
+    m: usize,
+    upper: bool,
+}
+
+impl Atb<'_> {
+    /// Rows `first..` of `c` into `span`, in `MR` × [`NR`] tiles.
+    ///
+    /// Each pass packs [`CHUNK_ROWS`] rows of `b` into `NR`-wide column
+    /// panels, then sweeps every tile of the span over them with the tile
+    /// held in locals, reloading it from `span` between passes. So every
+    /// entry is `+0.0` plus `a[r][i]·b[r][j]` over ascending `r`, whatever
+    /// the tile shape, chunk length or span.
+    #[inline(always)]
+    fn span<const MR: usize>(&self, first: usize, span: &mut [f64]) {
+        // A span starts on a whole span step and a tile on a whole tile of
+        // it, so a Gram tile's `MR` columns sit inside one packed panel.
+        const {
+            assert!(NR.is_multiple_of(MR) && SPAN_ROWS.is_multiple_of(MR));
+        }
+        debug_assert!(first.is_multiple_of(SPAN_ROWS));
+        let Atb { a, b, m, upper } = *self;
+        let nb = b.width();
+        let panels = nb.div_ceil(NR);
         span.fill(0.0);
         let rows = span.len() / nb;
         // panels left of the span's first row hold only lower-triangle tiles
@@ -446,8 +581,6 @@ fn atb(exec: &Executor, a: Operand<'_>, b: Option<Operand<'_>>, m: usize, c: &mu
                 let mr = MR.min(rows - i0);
                 let q_lo = if upper { (first + i0) / NR } else { 0 };
                 if upper {
-                    // MR divides NR and the span starts on a whole tile,
-                    // so the tile's columns sit inside one panel
                     let at = (first + i0) % NR;
                     let panel = &pack[(q_lo - q0) * h..(q_lo - q0 + 1) * h];
                     for (dst, src) in a_rows[..h].iter_mut().zip(panel) {
@@ -468,9 +601,9 @@ fn atb(exec: &Executor, a: Operand<'_>, b: Option<Operand<'_>>, m: usize, c: &mu
                     }
                     let b_rows = &pack[(q - q0) * h..(q - q0 + 1) * h];
                     if finite {
-                        tile::<false>(&a_rows[..h], b_rows, &mut acc);
+                        tile::<MR, false>(&a_rows[..h], b_rows, &mut acc);
                     } else {
-                        tile::<true>(&a_rows[..h], b_rows, &mut acc);
+                        tile::<MR, true>(&a_rows[..h], b_rows, &mut acc);
                     }
                     for (t, row) in acc.iter().enumerate().take(mr) {
                         let at = (i0 + t) * nb + j0;
@@ -479,25 +612,33 @@ fn atb(exec: &Executor, a: Operand<'_>, b: Option<Operand<'_>>, m: usize, c: &mu
                 }
             }
         }
-    });
+    }
 }
 
 /// Where [`atb`]'s `parts` thread spans over the `rows` rows of its
-/// `rows × nb` output end: whole [`MR`]-row tiles, cut where the work done
-/// reaches each `1/parts` share. A tile row sweeps every column from its
-/// own panel on in the Gram (`upper`), so the upper triangle's first half
-/// of rows holds about ¾ of the work; otherwise every tile row sweeps all
-/// `nb` columns. One part is one span of every row.
+/// `rows × nb` output end: whole [`SPAN_ROWS`] steps, cut where the work
+/// done reaches each `1/parts` share. A tile row sweeps every column from
+/// its own panel on in the Gram (`upper`), so the upper triangle's first
+/// half of rows holds about ¾ of the work; otherwise every tile row sweeps
+/// all `nb` columns. One part is one span of every row.
 fn span_ends(rows: usize, nb: usize, upper: bool, parts: usize) -> Vec<usize> {
-    let tiles = rows.div_ceil(MR);
-    let work = |t: usize| if upper { nb - t * MR / NR * NR } else { nb };
-    let total: usize = (0..tiles).map(work).sum();
+    // a step's rows share one panel, so they sweep the same columns
+    const { assert!(NR.is_multiple_of(SPAN_ROWS)) };
+    let steps = rows.div_ceil(SPAN_ROWS);
+    let work = |t: usize| {
+        if upper {
+            nb - t * SPAN_ROWS / NR * NR
+        } else {
+            nb
+        }
+    };
+    let total: usize = (0..steps).map(work).sum();
     let mut ends = Vec::with_capacity(parts);
     let mut done = 0;
-    for t in 0..tiles.saturating_sub(1) {
+    for t in 0..steps.saturating_sub(1) {
         done += work(t);
         if ends.len() + 1 < parts && done * parts >= total * (ends.len() + 1) {
-            ends.push((t + 1) * MR);
+            ends.push((t + 1) * SPAN_ROWS);
         }
     }
     ends.push(rows);
@@ -509,8 +650,8 @@ fn span_ends(rows: usize, nb: usize, upper: bool, parts: usize) -> Vec<usize> {
 /// finite.
 fn pack_panels(
     b: Operand<'_>,
-    rows: std::ops::Range<usize>,
-    panels: std::ops::Range<usize>,
+    rows: Range<usize>,
+    panels: Range<usize>,
     pack: &mut Vec<f64>,
 ) -> bool {
     pack.clear();
@@ -535,7 +676,11 @@ fn pack_panels(
 /// needed only for panels holding an infinity or NaN, where `0 · ∞` would
 /// be NaN.
 #[inline(always)]
-fn tile<const SKIP: bool>(a: &[[f64; MR]], b: &[[f64; NR]], acc: &mut [[f64; NR]; MR]) {
+fn tile<const MR: usize, const SKIP: bool>(
+    a: &[[f64; MR]],
+    b: &[[f64; NR]],
+    acc: &mut [[f64; NR]; MR],
+) {
     let mut c = *acc;
     for (ar, br) in a.iter().zip(b) {
         for (ct, &at) in c.iter_mut().zip(ar) {
@@ -647,6 +792,18 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
+    /// The bit patterns of `v`, every NaN as one: Rust leaves the sign and
+    /// payload of a NaN that arithmetic returns unspecified, and the
+    /// optimizer may commute `acc + a·b`, so when both operands are NaN
+    /// which one survives can differ between two instantiations of the
+    /// same loop (the 2 × 8 tile already differs from the historical loop
+    /// there). Every other bit, and where the NaNs are, must match.
+    fn value_bits(v: &[f64]) -> Vec<u64> {
+        v.iter()
+            .map(|x| if x.is_nan() { f64::NAN } else { *x }.to_bits())
+            .collect()
+    }
+
     /// xorshift64 stream.
     fn stream(seed: u64) -> impl FnMut() -> u64 {
         let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
@@ -741,6 +898,88 @@ mod tests {
         }
     }
 
+    /// The products of the four entry points on `path`, through [`atb`]
+    /// with the operands each one passes: [`gram`] and
+    /// [`gram_augmented_upper`] (both mirrored), [`gemm_transa`] and
+    /// [`gemm_transa_augmented`].
+    fn entry_products(
+        exec: &Executor,
+        path: TilePath,
+        a: &[f64],
+        m: usize,
+        k: usize,
+        b: &[f64],
+        n: usize,
+    ) -> [Vec<f64>; 4] {
+        let (x, xa, y) = (
+            Operand::plain(a, k),
+            Operand::augmented(a, k),
+            Operand::plain(b, n),
+        );
+        let mut g = vec![f64::NAN; k * k];
+        atb(exec, x, None, m, &mut g, path);
+        mirror_upper(&mut g, k);
+        let mut ga = vec![f64::NAN; (k + 1) * (k + 1)];
+        atb(exec, xa, None, m, &mut ga, path);
+        mirror_upper(&mut ga, k + 1);
+        let mut c = vec![f64::NAN; k * n];
+        atb(exec, x, Some(y), m, &mut c, path);
+        let mut ca = vec![f64::NAN; (k + 1) * n];
+        atb(exec, xa, Some(y), m, &mut ca, path);
+        [g, ga, c, ca]
+    }
+
+    #[test]
+    fn host_tile_is_bitwise_the_baseline_tile() {
+        if !dispatch::has_avx2() {
+            eprintln!("no AVX2 on this CPU: the wide tile path was not exercised");
+        }
+        let oracle = Executor::serial();
+        let names = [
+            "gram",
+            "gram_augmented_upper",
+            "gemm_transa",
+            "gemm_transa_augmented",
+        ];
+        let mut case = 0;
+        // m across the 256-row chunk; output heights k and k + 1 leave
+        // remainders against both tile heights, and every width is ragged
+        // against NR
+        for m in [255, 256, 257, 700] {
+            for (k, n) in [(13, 19), (10, 6), (34, 11)] {
+                for poison in [false, true] {
+                    case += 1;
+                    let a = rough(m, k, 3 * case, poison);
+                    let b = rough(m, n, 3 * case + 1, poison);
+                    let ka = with_ones(&a, m, k);
+                    let mut want = [
+                        vec![0.0; k * k],
+                        vec![0.0; (k + 1) * (k + 1)],
+                        vec![0.0; k * n],
+                        vec![0.0; (k + 1) * n],
+                    ];
+                    gram_oracle(&oracle, &a, m, k, &mut want[0]);
+                    gram_oracle(&oracle, &ka, m, k + 1, &mut want[1]);
+                    gemm_transa_oracle(&oracle, &a, m, k, &b, n, &mut want[2]);
+                    gemm_transa_oracle(&oracle, &ka, m, k + 1, &b, n, &mut want[3]);
+                    for threads in [1, 3] {
+                        let exec = Executor::threaded(threads);
+                        let host = entry_products(&exec, TilePath::Host, &a, m, k, &b, n);
+                        let base = entry_products(&exec, TilePath::Baseline, &a, m, k, &b, n);
+                        for (i, name) in names.iter().enumerate() {
+                            let what = format!(
+                                "{name}: m={m} k={k} n={n}, poison {poison}, {threads} threads"
+                            );
+                            let base_bits = value_bits(&base[i]);
+                            assert_eq!(base_bits, value_bits(&want[i]), "baseline, {what}");
+                            assert_eq!(value_bits(&host[i]), base_bits, "host, {what}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn gram_spans_are_whole_tiles_of_near_equal_work() {
         // the columns one tile row sweeps: the Gram's from its own panel on
@@ -760,19 +999,22 @@ mod tests {
                 assert_eq!(ends.last(), Some(&rows), "{what}");
                 assert!(ends.len() <= parts, "{what}");
                 assert!(ends.windows(2).all(|w| w[0] < w[1]), "{what}");
-                assert!(ends[..ends.len() - 1].iter().all(|e| e % MR == 0), "{what}");
+                assert!(
+                    ends[..ends.len() - 1].iter().all(|e| e % SPAN_ROWS == 0),
+                    "{what}"
+                );
                 let work = |r: std::ops::Range<usize>| -> usize {
-                    r.step_by(MR).map(|i| swept(i, rows, upper)).sum()
+                    r.step_by(SPAN_ROWS).map(|i| swept(i, rows, upper)).sum()
                 };
                 let total = work(0..rows);
                 let mut first = 0;
                 for &end in &ends {
-                    // each span is within one tile row of its share
+                    // each span is within one span step of its share
                     let share = total / ends.len();
                     assert!(work(first..end).abs_diff(share) <= rows, "{what}");
                     first = end;
                 }
-                if rows.div_ceil(MR) >= parts {
+                if rows.div_ceil(SPAN_ROWS) >= parts {
                     assert_eq!(ends.len(), parts, "{what}");
                 }
             }

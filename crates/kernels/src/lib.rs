@@ -9,7 +9,12 @@
 //! * serial (`n_threads ≤ 1`) — single-threaded, cache-blocked loops.
 //! * threaded (`n_threads > 1`) — the same blocked loops fanned out over
 //!   `std::thread::scope` with the output partitioned into disjoint
-//!   row blocks (no locks, no unsafe).
+//!   row blocks (no locks).
+//!
+//! The crate's only `unsafe` code is one call in `dense`'s private tile
+//! dispatch, which runs the AVX2 instantiation of the register-tile
+//! kernel after a run-time feature check; `unsafe_code` is denied
+//! everywhere else.
 //!
 //! Determinism contract: for a fixed input, every kernel in this crate
 //! produces results that are equal for any backend and any thread count.
@@ -25,7 +30,7 @@
 //! `&[f64]` plus explicit dimensions; raw CSR triples) so that both
 //! `srda-linalg` and `srda-sparse` can sit on top of it.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod dense;

@@ -20,6 +20,41 @@ loc=$(scripts/loc.sh)
 echo "$loc" | tail -n 1
 echo "$loc" | sed -n 1,5p
 
+# Unsafe confinement: the workspace's only `unsafe` code is one call in
+# the register-tile dispatch of crates/kernels/src/dense.rs (the AVX2
+# instantiation, run after its run-time feature check, in the one module
+# that carries `allow(unsafe_code)`) and the counting global allocator of
+# the bench_kernels binary. Any other `unsafe` block, fn, impl or trait
+# under crates/ or src/, any other `allow(unsafe_code)`, or a library
+# crate other than srda-kernels without `forbid(unsafe_code)` fails.
+echo "==> unsafe confined to the audited sites"
+dispatch=crates/kernels/src/dense.rs
+allocator=crates/bench/src/bin/bench_kernels.rs
+unsafe_lines=$(grep -rnw unsafe crates src --include='*.rs' |
+    grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
+stray=$(echo "$unsafe_lines" | grep -v -e "^$dispatch:" -e "^$allocator:" || true)
+allows=$(grep -rn 'allow(unsafe_code)' crates src --include='*.rs' || true)
+if [ -n "$stray" ] ||
+    [ "$(echo "$unsafe_lines" | grep -c "^$dispatch:")" -ne 1 ] ||
+    [ "$(echo "$allows" | grep -c .)" -ne 1 ] ||
+    [ "$(echo "$allows" | grep -c "^$dispatch:")" -ne 1 ]; then
+    echo "unsafe code outside the audited sites:" >&2
+    echo "$unsafe_lines" >&2
+    echo "$allows" >&2
+    exit 1
+fi
+for lib in crates/*/src/lib.rs; do
+    [ "$lib" = crates/kernels/src/lib.rs ] && continue
+    grep -q '^#!\[forbid(unsafe_code)\]' "$lib" || {
+        echo "$lib does not forbid unsafe_code" >&2
+        exit 1
+    }
+done
+grep -q '^#!\[deny(unsafe_code)\]' crates/kernels/src/lib.rs || {
+    echo "crates/kernels/src/lib.rs does not deny unsafe_code" >&2
+    exit 1
+}
+
 echo "==> cargo clippy (warnings are errors)"
 cargo clippy --offline --locked --workspace --all-targets -- -D warnings
 
