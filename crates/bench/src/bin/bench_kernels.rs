@@ -7,11 +7,14 @@
 //! determinism check: the threaded backend must be bitwise-identical to
 //! serial. `cholesky_solve_mat` has no threaded variant; its row times
 //! the per-column solves as `naive` and checks the whole-panel solve
-//! bitwise against them. `certify_spd` times the compensated backward
-//! errors of PIE's 67 responses as `naive` against the screen's
-//! rounding-error bounds on the upper-triangle storage a fit certifies
-//! from, checks them bitwise against the screen of the full matrix, and
-//! checks that every bound is at least the compensated value. The `disk_matmul` / `disk_matmul_t` rows time a
+//! bitwise against them. `certify_spd` times the per-column compensated
+//! backward errors of PIE's 67 responses, the loop a column the screen
+//! cannot certify takes, as `naive` against the screen's rounding-error
+//! bounds, both on the upper-triangle storage a fit certifies from, in
+//! interleaved pairs; it reports the medians and the quartiles of the
+//! per-pair `naive / serial` ratio, checks the bounds bitwise against the
+//! screen of the full matrix, and checks that every bound is at least the
+//! compensated value. The `disk_matmul` / `disk_matmul_t` rows time a
 //! `p = 5` block product through `DiskCsr` on a 20NG-shaped SRDACSR file
 //! against the historical per-entry scan (`naive`), report ns per stored
 //! non-zero, and check the block product bitwise against `p` per-column
@@ -158,37 +161,55 @@ fn time_once<R>(f: impl FnOnce() -> R) -> f64 {
     t.elapsed().as_secs_f64()
 }
 
-/// Interleaved disabled/enabled pairs of the recorder-overhead probe.
-const OVERHEAD_PAIRS: usize = 25;
+/// Interleaved pairs of the recorder-overhead probe and the
+/// `certify_spd` row.
+const PAIRS: usize = 25;
 
-/// The recorder-overhead probe's summary.
-struct Overhead {
-    /// median disabled-recorder time, in seconds
-    disabled: f64,
-    /// median enabled-recorder time, in seconds
-    enabled: f64,
-    /// first quartile, median and third quartile of the per-pair
-    /// enabled/disabled ratio − 1
-    rel: [f64; 3],
+/// Wall times of `run_a` and `run_b` in `PAIRS` interleaved pairs, after
+/// one untimed warm-up run of each. The two runs of a pair swap order
+/// every pair, so neither side always runs second on a warm cache. A load
+/// spike on a shared host slows both runs of a pair and cancels in its
+/// ratio, where a best-of-reps per side, taken at different moments, does
+/// not.
+fn interleaved(mut run_a: impl FnMut() -> f64, mut run_b: impl FnMut() -> f64) -> Paired {
+    run_a();
+    run_b();
+    let pairs: Vec<(f64, f64)> = (0..PAIRS)
+        .map(|i| {
+            if i % 2 == 0 {
+                let a = run_a();
+                (a, run_b())
+            } else {
+                let b = run_b();
+                (run_a(), b)
+            }
+        })
+        .collect();
+    Paired::from_pairs(&pairs)
 }
 
-impl Overhead {
-    /// Summarize `(disabled, enabled)` pairs of times.
-    fn from_pairs(pairs: &[(f64, f64)]) -> Overhead {
+/// The summary of interleaved `(a, b)` pairs of times.
+struct Paired {
+    /// median `a` time, in seconds
+    a: f64,
+    /// median `b` time, in seconds
+    b: f64,
+    /// first quartile, median and third quartile of the per-pair ratio
+    /// `b / a`
+    ratio: [f64; 3],
+}
+
+impl Paired {
+    fn from_pairs(pairs: &[(f64, f64)]) -> Paired {
         let quartiles = |mut v: Vec<f64>| {
             v.sort_by(f64::total_cmp);
             let n = v.len();
             [v[n / 4], v[n / 2], v[3 * n / 4]]
         };
-        Overhead {
-            disabled: quartiles(pairs.iter().map(|p| p.0).collect())[1],
-            enabled: quartiles(pairs.iter().map(|p| p.1).collect())[1],
-            rel: quartiles(
-                pairs
-                    .iter()
-                    .map(|&(off, on)| on / off.max(1e-12) - 1.0)
-                    .collect(),
-            ),
+        Paired {
+            a: quartiles(pairs.iter().map(|p| p.0).collect())[1],
+            b: quartiles(pairs.iter().map(|p| p.1).collect())[1],
+            ratio: quartiles(pairs.iter().map(|&(a, b)| b / a.max(1e-12)).collect()),
         }
     }
 }
@@ -210,6 +231,18 @@ struct Row {
     allocated: Option<(u64, u64)>,
     /// the register-tile instantiation that ran (the `atb` rows)
     isa: Option<&'static str>,
+    /// quartiles of the per-pair `naive / serial` ratio, for a row timed
+    /// in interleaved pairs; its speedup is their median
+    paired: Option<[f64; 3]>,
+}
+
+impl Row {
+    /// `naive / serial`: the median per-pair ratio for a paired row, else
+    /// the ratio of the two best times.
+    fn speedup(&self) -> f64 {
+        self.paired
+            .map_or(self.naive / self.serial.max(1e-12), |[_, median, _]| median)
+    }
 }
 
 fn naive_gram(a: &Mat) -> Mat {
@@ -400,6 +433,7 @@ fn main() {
             nnz: None,
             allocated: None,
             isa: Some(tile_isa()),
+            paired: None,
         });
     }
 
@@ -422,6 +456,7 @@ fn main() {
             nnz: None,
             allocated: None,
             isa: None,
+            paired: None,
         });
     }
 
@@ -445,6 +480,7 @@ fn main() {
             nnz: None,
             allocated: None,
             isa: Some(tile_isa()),
+            paired: None,
         });
     }
 
@@ -467,6 +503,7 @@ fn main() {
             nnz: Some(a.nnz()),
             allocated: None,
             isa: None,
+            paired: None,
         });
     }
 
@@ -490,6 +527,7 @@ fn main() {
             nnz: None,
             allocated: None,
             isa: None,
+            paired: None,
         });
     }
 
@@ -525,6 +563,7 @@ fn main() {
             nnz: None,
             allocated: None,
             isa: None,
+            paired: None,
         });
     }
 
@@ -569,13 +608,17 @@ fn main() {
             nnz: None,
             allocated: Some((allocating_bytes, in_place_bytes)),
             isa: None,
+            paired: None,
         });
     }
 
     // certification of the c − 1 responses on PIE's primal system: the
-    // compensated residuals (`naive`) against the screen's plain product
-    // and rounding bound. The screen must be bitwise serial ≡ threaded and
-    // bound every compensated backward error from above.
+    // compensated backward error of each column in turn (`naive`, what a
+    // column the screen leaves costs) against the screen's plain product
+    // and rounding bound, both as a fit runs them: on the upper storage
+    // the in-place factor leaves. The screen must be bitwise serial ≡
+    // threaded and the screen of the full matrix, and bound every
+    // compensated backward error from above.
     {
         let (n, k) = (sc(1025), sc(67));
         let a = dense(n + 200, n, 14);
@@ -583,21 +626,24 @@ fn main() {
         g.add_to_diag(1.0);
         let b = dense(n, k, 15);
         let x = Cholesky::factor(&g).unwrap().solve_mat(&b).unwrap();
-        let (t_naive, etas) = time_best(reps, || refine::backward_errors(&g, &b, &x).unwrap());
-        // the screen as a fit runs it: on the upper storage the in-place
-        // factor leaves, bitwise the screen of the full matrix
         let diag = g.diag();
         let stored = Symmetric::upper(&g, &diag);
+        let compensated = || {
+            (0..k)
+                .map(|j| refine::backward_error(stored, &b.col(j), &x.col(j)))
+                .collect::<Vec<_>>()
+        };
         let screen = |exec: &Executor| refine::backward_error_bounds(stored, &b, &x, exec).unwrap();
-        let (t_serial, e1) = time_best(reps, || screen(&serial));
+        let timed = interleaved(|| time_once(|| screen(&serial)), || time_once(compensated));
+        let (etas, e1) = (compensated(), screen(&serial));
         let (t_par, e2) = time_best(reps, || screen(&par));
         let full = refine::backward_error_bounds(&g, &b, &x, &serial).unwrap();
         let bits = |v: &[f64]| v.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
         rows.push(Row {
             kernel: "certify_spd",
             shape: format!("{n} k={k}"),
-            naive: t_naive,
-            serial: t_serial,
+            naive: timed.b,
+            serial: timed.a,
             threaded: t_par,
             identical: bits(&e1) == bits(&e2)
                 && bits(&e1) == bits(&full)
@@ -606,6 +652,7 @@ fn main() {
             nnz: None,
             allocated: None,
             isa: None,
+            paired: Some(timed.ratio),
         });
     }
 
@@ -641,6 +688,7 @@ fn main() {
             nnz: Some(a.nnz()),
             allocated: None,
             isa: None,
+            paired: None,
         });
 
         let u: Vec<f64> = (0..m * p).map(|i| noise(13 + i)).collect();
@@ -662,18 +710,15 @@ fn main() {
             nnz: Some(a.nnz()),
             allocated: None,
             isa: None,
+            paired: None,
         });
         std::fs::remove_file(&path).ok();
     }
 
     // recorder overhead: the same kernel through a disabled-recorder
-    // executor and an enabled one, timed in OVERHEAD_PAIRS interleaved
-    // pairs whose two runs swap order every pair, so neither side always
-    // runs second on a warm cache. Each pair gives one enabled/disabled
-    // ratio; rel_delta is the median ratio − 1, with its quartiles. A load
-    // spike on a shared host slows both runs of a pair and cancels in its
-    // ratio, where a best-of-reps per side, taken at different moments,
-    // does not. The disabled path must be a near-no-op (the <2% CI gate
+    // executor and an enabled one, timed in interleaved pairs. Each pair
+    // gives one enabled/disabled ratio; rel_delta is the median ratio − 1,
+    // with its quartiles. The disabled path must be a near-no-op (the <2% CI gate
     // lives in scripts/ci.sh). Deliberately NOT scaled by
     // SRDA_BENCH_SCALE: a micro-sized Gram turns the comparison into timer
     // noise, and the fixed shape costs only ~0.2s.
@@ -682,28 +727,16 @@ fn main() {
         let off = Executor::with_recorder(ExecPolicy::serial(), Recorder::disabled());
         let rec = Recorder::new_enabled();
         let on = Executor::with_recorder(ExecPolicy::serial(), rec);
-        let run_off = || time_once(|| gram_exec(&a, &off));
-        let run_on = || {
-            time_once(|| {
-                let _span = rec.span("bench/gram");
-                gram_exec(&a, &on)
-            })
-        };
-        // one warm-up run of each, untimed
-        run_off();
-        run_on();
-        let pairs: Vec<(f64, f64)> = (0..OVERHEAD_PAIRS)
-            .map(|i| {
-                if i % 2 == 0 {
-                    let t_off = run_off();
-                    (t_off, run_on())
-                } else {
-                    let t_on = run_on();
-                    (run_off(), t_on)
-                }
-            })
-            .collect();
-        (Overhead::from_pairs(&pairs), rec.snapshot().to_json())
+        let overhead = interleaved(
+            || time_once(|| gram_exec(&a, &off)),
+            || {
+                time_once(|| {
+                    let _span = rec.span("bench/gram");
+                    gram_exec(&a, &on)
+                })
+            },
+        );
+        (overhead, rec.snapshot().to_json())
     };
 
     // hand-formatted JSON: the format here is trivial
@@ -725,33 +758,41 @@ fn main() {
         let isa = r
             .isa
             .map_or(String::new(), |isa| format!("\"isa\": \"{isa}\", "));
+        let paired = r.paired.map_or(String::new(), |[q1, _, q3]| {
+            format!("\"pairs\": {PAIRS}, \"speedup_q1\": {q1:.3}, \"speedup_q3\": {q3:.3}, ")
+        });
         json.push_str(&format!(
             "    {{\"kernel\": \"{}\", \"shape\": \"{}\", \"naive_s\": {:.6}, \
              \"blocked_serial_s\": {:.6}, \"threaded_s\": {:.6}, \
              \"speedup_blocked_vs_naive\": {:.3}, \"speedup_threaded_vs_serial\": {:.3}, \
-             \"flam\": {}, \"blocked_serial_gflam_per_s\": {:.3}, {}{}{}\"bitwise_identical\": {}}}{}\n",
+             \"flam\": {}, \"blocked_serial_gflam_per_s\": {:.3}, {}{}{}{}\"bitwise_identical\": {}}}{}\n",
             r.kernel,
             r.shape,
             r.naive,
             r.serial,
             r.threaded,
-            r.naive / r.serial.max(1e-12),
+            r.speedup(),
             r.serial / r.threaded.max(1e-12),
             r.flam,
             r.flam as f64 / r.serial.max(1e-12) / 1e9,
             ns_per_nnz,
             allocated,
             isa,
+            paired,
             r.identical,
             if i + 1 < rows.len() { "," } else { "" },
         ));
     }
     json.push_str("  ],\n");
     json.push_str(&format!(
-        "  \"recorder_overhead\": {{\"pairs\": {OVERHEAD_PAIRS}, \"disabled_s\": {:.6}, \
+        "  \"recorder_overhead\": {{\"pairs\": {PAIRS}, \"disabled_s\": {:.6}, \
          \"enabled_s\": {:.6}, \"rel_delta\": {:.4}, \"rel_delta_q1\": {:.4}, \
          \"rel_delta_q3\": {:.4}}},\n",
-        overhead.disabled, overhead.enabled, overhead.rel[1], overhead.rel[0], overhead.rel[2]
+        overhead.a,
+        overhead.b,
+        overhead.ratio[1] - 1.0,
+        overhead.ratio[0] - 1.0,
+        overhead.ratio[2] - 1.0
     ));
     // the same srda-obs-v1 schema the CLI's --metrics-out emits, from the
     // recorder the enabled-overhead pass ran under
@@ -791,13 +832,13 @@ fn main() {
         }
     }
     println!(
-        "recorder overhead: disabled {:.4}s, enabled {:.4}s, median of {OVERHEAD_PAIRS} pairs \
+        "recorder overhead: disabled {:.4}s, enabled {:.4}s, median of {PAIRS} pairs \
          {:+.2}% [{:+.2}%, {:+.2}%]",
-        overhead.disabled,
-        overhead.enabled,
-        overhead.rel[1] * 100.0,
-        overhead.rel[0] * 100.0,
-        overhead.rel[2] * 100.0
+        overhead.a,
+        overhead.b,
+        (overhead.ratio[1] - 1.0) * 100.0,
+        (overhead.ratio[0] - 1.0) * 100.0,
+        (overhead.ratio[2] - 1.0) * 100.0
     );
     if rows.iter().any(|r| !r.identical) {
         eprintln!("error: a kernel diverged from its bitwise reference");

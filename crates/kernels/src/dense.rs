@@ -883,17 +883,25 @@ mod tests {
                 let what = format!("case {case}: m={m} k={k} n={n}, {} threads", exec.threads());
                 let mut g = vec![f64::NAN; k * k];
                 gram(exec, &a, m, k, &mut g);
-                assert_eq!(bits(&g), bits(&want_g), "gram, {what}");
+                assert_eq!(value_bits(&g), value_bits(&want_g), "gram, {what}");
                 let mut ga = vec![f64::NAN; (k + 1) * (k + 1)];
                 gram_augmented_upper(exec, &a, m, k, &mut ga);
                 mirror_upper(&mut ga, k + 1);
-                assert_eq!(bits(&ga), bits(&want_ga), "gram_augmented_upper, {what}");
+                assert_eq!(
+                    value_bits(&ga),
+                    value_bits(&want_ga),
+                    "gram_augmented_upper, {what}"
+                );
                 let mut c = vec![f64::NAN; k * n];
                 gemm_transa(exec, &a, m, k, &b, n, &mut c);
-                assert_eq!(bits(&c), bits(&want_c), "gemm_transa, {what}");
+                assert_eq!(value_bits(&c), value_bits(&want_c), "gemm_transa, {what}");
                 let mut ca = vec![f64::NAN; (k + 1) * n];
                 gemm_transa_augmented(exec, &a, m, k, &b, n, &mut ca);
-                assert_eq!(bits(&ca), bits(&want_ca), "gemm_transa_augmented, {what}");
+                assert_eq!(
+                    value_bits(&ca),
+                    value_bits(&want_ca),
+                    "gemm_transa_augmented, {what}"
+                );
             }
         }
     }

@@ -210,12 +210,6 @@ impl Cholesky {
         Ok(x)
     }
 
-    /// log-determinant of `A` (`2·Σ log Lᵢᵢ`), handy for model-selection
-    /// criteria.
-    pub fn log_det(&self) -> f64 {
-        self.l.diag().iter().map(|d| d.ln()).sum::<f64>() * 2.0
-    }
-
     /// 1-norm condition-number estimate `κ₁(A) ≈ ‖A‖₁·‖A⁻¹‖₁` via Hager's
     /// algorithm (the LINPACK/LAPACK `gecon` scheme). `‖A‖₁` was captured at
     /// factor time; `‖A⁻¹‖₁` is estimated by maximizing `‖A⁻¹x‖₁` over the
@@ -803,18 +797,6 @@ mod tests {
         }
         let ch2 = Cholesky::factor(&a).unwrap();
         assert!(ch1.l().approx_eq(ch2.l(), 0.0));
-    }
-
-    #[test]
-    fn log_det_of_identity_is_zero() {
-        let ch = Cholesky::factor(&Mat::identity(4)).unwrap();
-        assert!(ch.log_det().abs() < 1e-14);
-    }
-
-    #[test]
-    fn log_det_of_diag() {
-        let ch = Cholesky::factor(&Mat::from_diag(&[2.0, 3.0])).unwrap();
-        assert!((ch.log_det() - 6.0f64.ln()).abs() < 1e-12);
     }
 
     #[test]

@@ -184,12 +184,6 @@ impl Mat {
         }
     }
 
-    /// Overwrite row `i` with the entries of `v`.
-    pub fn set_row(&mut self, i: usize, v: &[f64]) {
-        debug_assert_eq!(v.len(), self.cols);
-        self.row_mut(i).copy_from_slice(v);
-    }
-
     /// Iterate over rows as slices.
     pub fn rows_iter(&self) -> impl Iterator<Item = &[f64]> {
         self.data.chunks_exact(self.cols.max(1))
@@ -602,11 +596,10 @@ mod tests {
     }
 
     #[test]
-    fn set_row_col() {
+    fn set_col_overwrites_one_column() {
         let mut m = Mat::zeros(2, 3);
-        m.set_row(1, &[1.0, 2.0, 3.0]);
         m.set_col(0, &[7.0, 8.0]);
-        assert_eq!(m.row(1), &[8.0, 2.0, 3.0]);
+        assert_eq!(m.row(1), &[8.0, 0.0, 0.0]);
         assert_eq!(m[(0, 0)], 7.0);
     }
 

@@ -161,17 +161,6 @@ impl Qr {
         Ok(())
     }
 
-    /// Minimum-norm residual least-squares solve: `argmin ‖A·x − b‖₂` for a
-    /// full-column-rank `A`.
-    pub fn solve_least_squares(&self, b: &[f64]) -> Result<Vec<f64>> {
-        let n = self.ncols();
-        let mut work = b.to_vec();
-        self.apply_qt(&mut work)?;
-        let mut x = work[..n].to_vec();
-        crate::triangular::solve_upper_inplace(&self.r(), &mut x)?;
-        Ok(x)
-    }
-
     /// Numerical rank of `R` with tolerance `tol` relative to the largest
     /// diagonal magnitude.
     pub fn rank(&self, tol: f64) -> usize {
@@ -231,31 +220,6 @@ mod tests {
     #[test]
     fn wide_rejected() {
         assert!(Qr::factor(&Mat::zeros(2, 3)).is_err());
-    }
-
-    #[test]
-    fn least_squares_exact_system() {
-        let a = Mat::from_rows(&[vec![1.0, 0.0], vec![0.0, 2.0], vec![0.0, 0.0]]).unwrap();
-        let qr = Qr::factor(&a).unwrap();
-        let x = qr.solve_least_squares(&[3.0, 4.0, 100.0]).unwrap();
-        // residual on the third row is unavoidable; x should fit first two
-        assert!((x[0] - 3.0).abs() < 1e-12);
-        assert!((x[1] - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn least_squares_matches_normal_equations() {
-        let a = tall();
-        let b: Vec<f64> = (0..7).map(|i| (i as f64 * 0.7).sin()).collect();
-        let qr = Qr::factor(&a).unwrap();
-        let x = qr.solve_least_squares(&b).unwrap();
-        // normal equations oracle: AᵀA x = Aᵀ b
-        let g = crate::ops::gram(&a);
-        let atb = crate::ops::matvec_t(&a, &b).unwrap();
-        let x2 = crate::Cholesky::factor(&g).unwrap().solve(&atb).unwrap();
-        for (u, v) in x.iter().zip(&x2) {
-            assert!((u - v).abs() < 1e-8, "{u} vs {v}");
-        }
     }
 
     #[test]

@@ -174,20 +174,6 @@ pub fn argmin(x: &[f64]) -> Option<usize> {
     Some(best)
 }
 
-/// Index of the maximum entry (first on ties); `None` for an empty slice.
-pub fn argmax(x: &[f64]) -> Option<usize> {
-    if x.is_empty() {
-        return None;
-    }
-    let mut best = 0;
-    for (i, &v) in x.iter().enumerate().skip(1) {
-        if v > x[best] {
-            best = i;
-        }
-    }
-    Some(best)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -314,9 +300,7 @@ mod tests {
     #[test]
     fn arg_extrema() {
         assert_eq!(argmin(&[3.0, 1.0, 2.0]), Some(1));
-        assert_eq!(argmax(&[3.0, 1.0, 3.5]), Some(2));
         assert_eq!(argmin(&[]), None);
-        assert_eq!(argmax(&[]), None);
         // first wins on ties
         assert_eq!(argmin(&[1.0, 1.0]), Some(0));
     }

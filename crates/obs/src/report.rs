@@ -234,15 +234,6 @@ impl ObsReport {
         }
         Some(covered as f64 / (r1 - r0) as f64)
     }
-
-    /// Total duration (ns) of the spans whose path equals `path`.
-    pub fn span_total_ns(&self, path: &str) -> u64 {
-        self.spans
-            .iter()
-            .filter(|s| s.path == path)
-            .map(|s| s.dur_ns)
-            .sum()
-    }
 }
 
 #[cfg(test)]

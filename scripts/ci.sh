@@ -227,10 +227,11 @@ cmp "$SMOKE_DIR/baseline.srda" "$SMOKE_DIR/traced.srda" || {
 }
 
 # Certification smoke: one sample with a huge-magnitude feature drives
-# κ(K) ≈ 1e13, so the plain direct solve cannot pass its forward-error
-# bound — the jitter ladder must escalate until a rung certifies, and
-# `--certify` must then exit 0 with no Suspect certificate (a Suspect
-# survivor exits 4, failing this gate under `set -e`).
+# κ(K) ≈ 1e13, too much for the screen's rounding bound (η̄ ≥ γ̄ ≈ 3e-15)
+# to certify, so the response takes the per-column compensated path: the
+# report's `certify.compensated` counter must be positive. `--certify`
+# must exit 0 with no Suspect certificate (a Suspect survivor exits 4,
+# failing this gate under `set -e`).
 echo "==> certify smoke (srda train --certify on ill-conditioned data)"
 cat > "$SMOKE_DIR/illcond.svm" <<'EOF'
 0 0:3e6 1:0.4
@@ -244,6 +245,7 @@ cat > "$SMOKE_DIR/illcond.svm" <<'EOF'
 EOF
 "$SRDA" train --data "$SMOKE_DIR/illcond.svm" \
     --model "$SMOKE_DIR/illcond.srda" --solver ne --certify \
+    --metrics-out "$SMOKE_DIR/certify-metrics.json" \
     2> "$SMOKE_DIR/certify.log"
 grep -q "verdict" "$SMOKE_DIR/certify.log" || {
     echo "--certify printed no solution certificates" >&2
@@ -253,5 +255,11 @@ if grep -q "Suspect" "$SMOKE_DIR/certify.log"; then
     echo "--certify left a Suspect certificate on the smoke fixture" >&2
     exit 1
 fi
+compensated=$(sed -n 's/.*"certify\.compensated": \([0-9]*\).*/\1/p' \
+    "$SMOKE_DIR/certify-metrics.json")
+[ "${compensated:-0}" -gt 0 ] || {
+    echo "the certify smoke never reached the compensated path" >&2
+    exit 1
+}
 
 echo "CI OK"
